@@ -15,13 +15,19 @@ writes machine-readable records for the CI regression gate
   curve; end-to-end ``DistMsm.execute`` at the same sizes; a 2^20-point
   4-GPU vectorized run against the 60 s CI budget; and the honest
   multi-limb numbers on BLS12-381 showing why ``vectorized="auto"``
-  keeps the scalar loops for big fields.  Every timed pair is asserted
-  bit-identical (points and event counters) before its time is reported.
+  keeps the scalar loops for big fields.  The scalar side of the two
+  toy-curve ratios runs the frozen per-point scatter and bucket-sum loops
+  (``tests.support.frozen_msm``), so the ratios keep measuring the array
+  passes against the code they replaced; the live scalar times are
+  recorded beside them.  ``batched_bucket_sum_speedup`` times the live
+  batched-affine scalar path against those frozen loops on BLS12-381
+  window sums.  Every timed pair is asserted to give the same points and
+  event counters before its time is reported.
 
 * ``results/BENCH_engine.json`` — ``engine.simulate`` against the frozen
-  pre-rewrite loop (``repro.engine._reference``), the 10^6-task wall
-  time against its 10 s budget, and the O(1)-vs-O(failures) audit-lookup
-  comparison (``Timeline.failure_for`` / ``attempts_for``).
+  pre-rewrite loop (``tests.support.reference_simulate``), the 10^6-task
+  wall time against its 10 s budget, and the O(1)-vs-O(failures)
+  audit-lookup comparison (``Timeline.failure_for`` / ``attempts_for``).
 
 GC note: the timed sections run with the collector disabled (recorded as
 ``"gc_disabled": true``) — at 10^6 tasks collector pauses add ~40% of
@@ -47,15 +53,21 @@ from repro.core.config import DistMsmConfig
 from repro.core.distmsm import DistMsm, _GpuWork
 from repro.core.planner import Assignment
 from repro.curves.params import curve_by_name
+from repro.curves.point import to_affine
 from repro.curves.sampling import msm_instance
 from repro.curves.toy import toy_curve
-from repro.engine._reference import reference_simulate
 from repro.engine.faults import FaultPlan, RetryPolicy, TransferError
 from repro.engine.resources import GPU_COMPUTE, TRANSFER, Resource
 from repro.engine.timeline import Task, simulate
 from repro.gpu.cluster import MultiGpuSystem
 
-RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+RESULTS_DIR = ROOT / "results"
+# the frozen reference loops are test-support code at the repository root
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+from tests.support.frozen_msm import frozen_kernels  # noqa: E402
+from tests.support.reference_simulate import reference_simulate  # noqa: E402
 
 NUM_GPUS = 4
 TOY_WINDOW = 6
@@ -82,7 +94,7 @@ def _timed(fn, *args):
 # -- MSM backend ---------------------------------------------------------------
 
 
-def _window_sums(curve, scalars, points, vectorized):
+def _window_sums(curve, scalars, points, vectorized, window=TOY_WINDOW):
     """Run prepare + every window's full-range scatter/bucket-sum.
 
     This is exactly the per-point work ``FunctionalBackend`` does for one
@@ -91,18 +103,36 @@ def _window_sums(curve, scalars, points, vectorized):
     bucket-reduce phases excluded.
     """
     system = MultiGpuSystem(num_gpus=1)
-    msm = DistMsm(system, DistMsmConfig(window_size=TOY_WINDOW, vectorized=vectorized))
+    msm = DistMsm(system, DistMsmConfig(window_size=window, vectorized=vectorized))
     backend = FunctionalBackend(msm, scalars, points, curve)
-    n_win = -(-curve.scalar_bits // TOY_WINDOW)
-    backend.prepare(TOY_WINDOW, n_win, n_win)
+    n_win = -(-curve.scalar_bits // window)
+    backend.prepare(window, n_win, n_win)
     work = _GpuWork()
     sums = [
         backend.run_assignment(
-            work, Assignment(gpu=0, window=w), msm.num_buckets(TOY_WINDOW)
+            work, Assignment(gpu=0, window=w), msm.num_buckets(window)
         )
         for w in range(n_win)
     ]
     return sums, work
+
+
+def _frozen_window_sums(curve, scalars, points, window=TOY_WINDOW):
+    """:func:`_window_sums` on the scalar path's frozen per-point loops."""
+    with frozen_kernels():
+        return _window_sums(curve, scalars, points, False, window)
+
+
+def _same_elements(sums_a, sums_b, curve) -> bool:
+    """Equal window sums as group elements (representatives may differ)."""
+    return [[to_affine(p, curve) for p in w] for w in sums_a] == [
+        [to_affine(p, curve) for p in w] for w in sums_b
+    ]
+
+
+def _frozen_execute(engine, scalars, points, curve):
+    with frozen_kernels():
+        return engine.execute(scalars, points, curve)
 
 
 def bench_msm_backend(smoke: bool) -> dict:
@@ -119,17 +149,23 @@ def bench_msm_backend(smoke: bool) -> dict:
         "smoke": smoke,
     }
 
-    # window sums: the per-point hot path, scalar loops vs array passes
+    # window sums: the per-point hot path, frozen scalar loops vs array passes
     scalars, points = msm_instance(toy, 1 << log_kernel, seed=7)
-    t_scalar, (sums_s, work_s) = _timed(_window_sums, toy, scalars, points, False)
+    t_scalar, (sums_f, work_f) = _timed(_frozen_window_sums, toy, scalars, points)
+    t_live, (sums_s, work_s) = _timed(_window_sums, toy, scalars, points, False)
     t_vector, (sums_v, work_v) = _timed(_window_sums, toy, scalars, points, True)
     assert sums_s == sums_v, "vectorized window sums diverge from scalar"
     assert (work_s.scatter, work_s.sums) == (work_v.scatter, work_v.sums), (
         "vectorized event counters diverge from scalar"
     )
+    assert _same_elements(sums_f, sums_s, toy), "frozen window sums diverge"
+    assert (work_f.scatter, work_f.sums) == (work_s.scatter, work_s.sums), (
+        "frozen event counters diverge from scalar"
+    )
     payload["window_sums"] = {
         "log2_points": log_kernel,
         "scalar_s": round(t_scalar, 3),
+        "live_scalar_s": round(t_live, 3),
         "vectorized_s": round(t_vector, 3),
         "window_sums_speedup": round(t_scalar / t_vector, 2),
     }
@@ -142,12 +178,14 @@ def bench_msm_backend(smoke: bool) -> dict:
     vector_engine = DistMsm(
         system, DistMsmConfig(window_size=TOY_WINDOW, vectorized=True)
     )
-    t_scalar, res_s = _timed(scalar_engine.execute, scalars, points, toy)
+    t_scalar, res_f = _timed(_frozen_execute, scalar_engine, scalars, points, toy)
+    t_live, res_s = _timed(scalar_engine.execute, scalars, points, toy)
     t_vector, res_v = _timed(vector_engine.execute, scalars, points, toy)
-    assert res_s.point == res_v.point, "end-to-end MSM results diverge"
+    assert res_f.point == res_s.point == res_v.point, "end-to-end MSM results diverge"
     payload["end_to_end"] = {
         "log2_points": log_kernel,
         "scalar_s": round(t_scalar, 3),
+        "live_scalar_s": round(t_live, 3),
         "vectorized_s": round(t_vector, 3),
         "end_to_end_speedup": round(t_scalar / t_vector, 2),
     }
@@ -184,12 +222,29 @@ def bench_msm_backend(smoke: bool) -> dict:
         f"(budget {MSM_2POW20_BUDGET_S:.0f}s)"
     )
 
-    # honesty section: multi-limb fields.  CPython big ints beat the
-    # 26-bit-limb numpy Montgomery kernels at benchmark sizes, which is
-    # why vectorized="auto" routes big curves to the scalar loops.
+    # the scalar path on a production curve: batched-affine bucket sums and
+    # bulk-counted scatter against the frozen per-point loops
     bls = curve_by_name("BLS12-381")
     log_big = 10 if smoke else 12
     bs, bp = msm_instance(bls, 1 << log_big, seed=7)
+    t_frozen, (sums_f, work_f) = _timed(_frozen_window_sums, bls, bs, bp, 8)
+    t_live, (sums_s, work_s) = _timed(_window_sums, bls, bs, bp, False, 8)
+    assert _same_elements(sums_f, sums_s, bls), "batched window sums diverge"
+    assert (work_f.scatter, work_f.sums) == (work_s.scatter, work_s.sums), (
+        "batched event counters diverge from the frozen loops"
+    )
+    payload["batched_bucket_sum"] = {
+        "curve": bls.name,
+        "log2_points": log_big,
+        "window_size": 8,
+        "frozen_s": round(t_frozen, 3),
+        "live_s": round(t_live, 3),
+        "batched_bucket_sum_speedup": round(t_frozen / t_live, 2),
+    }
+
+    # honesty section: multi-limb fields.  CPython big ints beat the
+    # 26-bit-limb numpy Montgomery kernels at benchmark sizes, which is
+    # why vectorized="auto" routes big curves to the scalar loops.
     scalar_engine = DistMsm(system, DistMsmConfig(window_size=8, vectorized=False))
     forced_engine = DistMsm(system, DistMsmConfig(window_size=8, vectorized=True))
     t_scalar, res_s = _timed(scalar_engine.execute, bs, bp, bls)
@@ -319,12 +374,15 @@ def _print_summary(msm: dict, eng: dict) -> None:
     ws = msm["window_sums"]
     ee = msm["end_to_end"]
     lr = msm["large_run"]
+    bb = msm["batched_bucket_sum"]
     print(
         f"msm-backend: window sums 2^{ws['log2_points']} "
         f"{ws['scalar_s']:.2f}s -> {ws['vectorized_s']:.2f}s "
         f"({ws['window_sums_speedup']:.1f}x); end-to-end "
         f"{ee['end_to_end_speedup']:.1f}x; 2^{lr['log2_points']} run "
-        f"{lr['vectorized_s']:.2f}s (budget {lr['budget_s']:.0f}s)"
+        f"{lr['vectorized_s']:.2f}s (budget {lr['budget_s']:.0f}s); "
+        f"{bb['curve']} batched bucket sums {bb['frozen_s']:.2f}s -> "
+        f"{bb['live_s']:.2f}s ({bb['batched_bucket_sum_speedup']:.1f}x)"
     )
     sim = eng["simulate"]
     big = eng["large_run"]

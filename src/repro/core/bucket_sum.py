@@ -6,6 +6,13 @@ partial sums merge in a binary reduction tree (``log2(N_thread)`` PADDs per
 thread in SIMD terms, ``N_thread - 1`` PADDs in total).  The functional
 implementation executes this structure faithfully — including the tree — so
 its results and its operation counts are both real.
+
+Two clocks: the modelled kernel, and the counters that drive its cost, are
+XYZZ PACC/PADD as in the paper; the host computes the same lanes, rounds
+and tree levels in batched affine coordinates (one shared inversion per
+round or level: about 6 modular multiplications per addition instead of
+10-14).  The contract is the same group elements, in canonical form, with
+the same counters.
 """
 
 from __future__ import annotations
@@ -14,9 +21,10 @@ import math
 from dataclasses import dataclass
 
 from repro.curves.params import CurveParams
-from repro.curves.point import XyzzPoint, affine_neg, xyzz_acc, xyzz_add
+from repro.curves.point import XyzzPoint
 from repro.gpu.counters import EventCounters
 from repro.gpu.trace import Kind, MemoryTrace, Space
+from repro.msm.batch_affine import add_pairs
 
 
 @dataclass
@@ -56,53 +64,128 @@ def bucket_sum(
     """Sum each bucket's points with ``n_threads`` threads per bucket.
 
     ``buckets`` holds point-id lists (scatter output); ``negate`` optionally
-    flags point ids to accumulate negated (signed-digit support).  With a
-    ``tracer`` attached, each bucket group's partial-sum stores and the tree
-    reduction's cross-lane reads — with the barrier separating every level —
-    are recorded for the ``repro.verify`` race detector.
+    flags point ids to accumulate negated (signed-digit support).  A bucket
+    with ``L`` members runs ``T = min(n_threads, max(1, L))`` lanes: member
+    ``i`` PACCs into lane ``i % T``, then lane ``i`` absorbs lane
+    ``half + i`` at each level of the ``half = ceil(T/2)`` tree.  The
+    ``pacc``/``padd`` counters charge exactly those operations.
+
+    The host evaluates them in batched affine coordinates: each PACC round
+    and each tree level, across every bucket of the call, is one
+    :func:`~repro.msm.batch_affine.add_pairs` batch with one shared
+    inversion.  Every sum is the same group element the XYZZ kernel
+    computes, returned in canonical form — ``(x, y, 1, 1)`` or the
+    identity.  With a ``tracer`` attached, each bucket group's partial-sum
+    stores and the tree reduction's cross-lane reads — with the barrier
+    separating every level — are recorded for the ``repro.verify`` race
+    detector.
     """
     if n_threads <= 0:
         raise ValueError("n_threads must be positive")
+    p = curve.p
 
-    def trace(bucket: int, lane: int, slot: int, kind: Kind) -> None:
-        if tracer is not None:
-            tracer.record(
-                Space.SHARED,
-                "partials",
-                bucket * n_threads + slot,
-                kind,
-                atomic=False,
-                block=block_id,
-                thread=bucket * n_threads + lane,
-            )
+    # lane j of bucket b is lanes[starts[b] + j]: an (x, y) tuple or None
+    lanes: list = []
+    starts = []
+    widths = []
+    members_total = 0
+    for members in buckets:
+        width = min(n_threads, max(1, len(members)))
+        starts.append(len(lanes))
+        widths.append(width)
+        members_total += len(members)
+        if not members:
+            lanes.append(None)
+            continue
+        # round 0: every lane's first PACC starts from the identity
+        for point_id in members[:width]:
+            lanes.append(_load(points, point_id, negate, p))
+
+    # PACC rounds 1, 2, ...: lane j absorbs member r * width + j
+    deep = [b for b, members in enumerate(buckets) if len(members) > widths[b]]
+    r = 1
+    while deep:
+        targets: list = []
+        rhs: list = []
+        for b in deep:
+            members = buckets[b]
+            lo = r * widths[b]
+            chunk = members[lo : lo + widths[b]]
+            targets.extend(range(starts[b], starts[b] + len(chunk)))
+            rhs.extend(_load(points, point_id, negate, p) for point_id in chunk)
+        lhs = [lanes[t] for t in targets]
+        for t, pt in zip(targets, add_pairs(lhs, rhs, p, curve.a)):
+            lanes[t] = pt
+        r += 1
+        deep = [b for b in deep if len(buckets[b]) > r * widths[b]]
+
+    # binary tree: lane i absorbs lane half + i, one batch per level
+    level = [(starts[b], widths[b]) for b in range(len(buckets)) if widths[b] > 1]
+    while level:
+        lhs = []
+        rhs = []
+        for start, width in level:
+            half = (width + 1) // 2
+            lhs.extend(lanes[start : start + width - half])
+            rhs.extend(lanes[start + half : start + width])
+        summed = add_pairs(lhs, rhs, p, curve.a)
+        k = 0
+        for start, width in level:
+            n = width - (width + 1) // 2
+            lanes[start : start + n] = summed[k : k + n]
+            k += n
+        level = [(start, (width + 1) // 2) for start, width in level if width > 2]
 
     counters = EventCounters()
     counters.kernel_launches = 1
-    sums = []
-    for bucket_id, members in enumerate(buckets):
-        # deal members round-robin over the bucket's threads
-        partials = [XyzzPoint.identity() for _ in range(min(n_threads, max(1, len(members))))]
-        for i, point_id in enumerate(members):
-            pt = points[point_id]
-            if negate and negate[point_id]:
-                pt = affine_neg(pt, curve)  # preserves the identity
-            lane = i % len(partials)
-            partials[lane] = xyzz_acc(partials[lane], pt, curve)
-            trace(bucket_id, lane, lane, Kind.WRITE)
-            counters.pacc += 1
-        # binary tree reduction of the per-thread partials
-        while len(partials) > 1:
-            if tracer is not None:
-                tracer.barrier(block_id)
-            half = (len(partials) + 1) // 2
-            for i in range(len(partials) - half):
-                trace(bucket_id, i, half + i, Kind.READ)
-                partials[i] = xyzz_add(partials[i], partials[half + i], curve)
-                trace(bucket_id, i, i, Kind.WRITE)
-                counters.padd += 1
-            partials = partials[:half]
-        sums.append(partials[0] if partials else XyzzPoint.identity())
+    counters.pacc = members_total
+    counters.padd = sum(widths) - len(widths)
+    sums = [
+        XyzzPoint.identity() if lanes[start] is None else XyzzPoint(*lanes[start], 1, 1)
+        for start in starts
+    ]
+    if tracer is not None:
+        _trace_bucket_sum(tracer, buckets, n_threads, block_id)
     return BucketSumOutput(sums, counters)
+
+
+def _load(points: list, point_id: int, negate: list | None, p: int):
+    """One member as an ``(x, y)`` tuple (negated when flagged), or None."""
+    pt = points[point_id]
+    if pt.infinity:
+        return None
+    if negate and negate[point_id]:
+        return (pt.x % p, -pt.y % p)
+    return (pt.x % p, pt.y % p)
+
+
+def _trace_bucket_sum(
+    tracer: MemoryTrace, buckets: list, n_threads: int, block_id: int
+) -> None:
+    """Record the kernel's shared-memory accesses, bucket by bucket."""
+
+    def trace(bucket: int, lane: int, slot: int, kind: Kind) -> None:
+        tracer.record(
+            Space.SHARED,
+            "partials",
+            bucket * n_threads + slot,
+            kind,
+            atomic=False,
+            block=block_id,
+            thread=bucket * n_threads + lane,
+        )
+
+    for bucket_id, members in enumerate(buckets):
+        width = min(n_threads, max(1, len(members)))
+        for i in range(len(members)):
+            trace(bucket_id, i % width, i % width, Kind.WRITE)
+        while width > 1:
+            tracer.barrier(block_id)
+            half = (width + 1) // 2
+            for i in range(width - half):
+                trace(bucket_id, i, half + i, Kind.READ)
+                trace(bucket_id, i, i, Kind.WRITE)
+            width = half
 
 
 # -- analytic counterpart -----------------------------------------------------

@@ -16,6 +16,7 @@ atomics by roughly the per-block point capacity over the bucket count
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ from repro.gpu.atomics import scatter_atomic_time_ms
 from repro.gpu.counters import EventCounters
 from repro.gpu.device import SharedMemoryExceeded, SimulatedGpu
 from repro.gpu.specs import GpuSpec
-from repro.gpu.trace import Kind, Space
+from repro.gpu.trace import Kind, MemoryTrace, Space
 from repro.gpu.timing import launch_overhead_ms, memory_read_time_ms
 
 #: bytes read per point per window (the window's scalar segment, coalesced)
@@ -94,80 +95,110 @@ def hierarchical_scatter(
 ) -> ScatterOutput:
     """Three-level hierarchical scatter (Algorithm 3), block by block.
 
+    Each block of ``threads_per_block * points_per_thread`` points counts
+    its digits into shared-memory bucket counters (one shared atomic per
+    point), prefix-sums them into offsets, claims a point-cache slot per
+    point (a second shared atomic) and commits every non-empty local bucket
+    to global memory with one global atomic.  Bucket members come out in
+    ascending point-id order.  Membership and the event counts are computed
+    in bulk per block; with a tracer attached, every access and barrier of
+    the kernel is then recorded in kernel order for the ``repro.verify``
+    race detector.
+
     Raises :class:`SharedMemoryExceeded` when the per-block counter array
     plus point-id cache cannot fit — the execution-failure regime the paper
     reports for ``s > 14``.
     """
-    before = gpu.counters.as_dict()
     gpu.launch()
     threads = config.threads_per_block
-    k = config.points_per_thread
-    capacity = threads * k
-
-    global_sizes = [0] * num_buckets
-    buckets: list[list[int]] = [[] for _ in range(num_buckets)]
+    capacity = threads * config.points_per_thread
 
     n = len(digits)
     num_blocks = max(1, math.ceil(n / capacity))
+    counters = EventCounters(prefix_sums=num_blocks, block_syncs=3 * num_blocks)
     for bid in range(num_blocks):
-        block = gpu.new_block(bid, threads)
         # shared allocations: bucket counters + the point-id cache; offsets
         # reuse the counter array (prefix sum in place)
-        shm_counts = block.shared.alloc_words(num_buckets, name="bucket_counts")
-        shm_cache = block.shared.alloc_words(threads * k, name="point_cache")
-
+        block = gpu.new_block(bid, threads)
+        block.shared.alloc_words(num_buckets, name="bucket_counts")
+        block.shared.alloc_words(capacity, name="point_cache")
         chunk = digits[bid * capacity : (bid + 1) * capacity]
-        reg_cache = []
+        nonzero = len(chunk) - chunk.count(0)
+        counters.shared_atomics += 2 * nonzero  # count + position
+        counters.global_atomics += len(set(chunk) - {0})  # one per local bucket
+        counters.device_bytes += nonzero * POINT_ID_BYTES
+    gpu.counters.merge(counters)
+    counters.kernel_launches = 1
+
+    buckets: list[list[int]] = [[] for _ in range(num_buckets)]
+    for point_id, digit in enumerate(digits):
+        if digit:
+            buckets[digit].append(point_id)
+
+    if gpu.tracer is not None:
+        _trace_hierarchical_scatter(gpu.tracer, digits, num_buckets, threads, capacity)
+    counters.device_bytes += n * COEFF_BYTES
+    return ScatterOutput(buckets, counters)
+
+
+def _trace_hierarchical_scatter(
+    tracer: MemoryTrace,
+    digits: list[int],
+    num_buckets: int,
+    threads: int,
+    capacity: int,
+) -> None:
+    """Record Algorithm 3's memory accesses and barriers in kernel order.
+
+    Shared regions follow the allocation order: ``bucket_counts`` (whose
+    storage the offsets and claim cursors reuse) at word 0, then
+    ``point_cache`` at word ``num_buckets``.
+    """
+    n = len(digits)
+    global_sizes = [0] * num_buckets
+
+    def shared(bid: int, region: str, address: int, kind: Kind, thread: int) -> None:
+        tracer.record(
+            Space.SHARED, region, address, kind,
+            atomic=kind is Kind.RMW, block=bid, thread=thread,
+        )
+
+    for bid in range(max(1, math.ceil(n / capacity))):
+        chunk = digits[bid * capacity : (bid + 1) * capacity]
+        counts = [0] * num_buckets
         for local_id, digit in enumerate(chunk):
-            reg_cache.append(digit)
-            if digit != 0:
-                block.shared.atomic_inc(shm_counts, digit, thread=local_id % threads)
-        block.syncthreads()
-        shm_off = block.parallel_prefix_sum(shm_counts)
-        block.syncthreads()
-
-        # threads claim positions by atomically bumping a working copy of
-        # the offsets (which reuses the offset array's storage)
-        shm_claim = block.shared.alias(list(shm_off), shm_off)
-        for local_id, digit in enumerate(reg_cache):
-            if digit == 0:
-                continue
-            t = local_id % threads
-            pos = block.shared.atomic_inc(shm_claim, digit, thread=t)
-            block.shared.write(shm_cache, pos, local_id, thread=t)
-        block.syncthreads()
-
-        for bucket_id in range(num_buckets):
+            if digit:
+                shared(bid, "bucket_counts", digit, Kind.RMW, local_id % threads)
+                counts[digit] += 1
+        tracer.barrier(bid)  # counts complete; the prefix sum runs
+        tracer.barrier(bid)  # offsets complete
+        offsets = list(itertools.accumulate(counts, initial=0))
+        claim = list(offsets)
+        for local_id, digit in enumerate(chunk):
+            if digit:
+                t = local_id % threads
+                shared(bid, "bucket_counts", digit, Kind.RMW, t)
+                shared(bid, "point_cache", num_buckets + claim[digit], Kind.WRITE, t)
+                claim[digit] += 1
+        tracer.barrier(bid)
+        for bucket_id, count in enumerate(counts):
             t = bucket_id % threads
-            count = block.shared.read(shm_counts, bucket_id, thread=t)
+            shared(bid, "bucket_counts", bucket_id, Kind.READ, t)
             if count == 0:
                 continue
-            base = block.shared.read(shm_off, bucket_id, thread=t)
-            start = gpu.global_atomic_add(
-                global_sizes, bucket_id, count, "bucket_sizes", bid, t
+            shared(bid, "bucket_counts", bucket_id, Kind.READ, t)
+            tracer.record(
+                Space.GLOBAL, "bucket_sizes", bucket_id, Kind.RMW,
+                atomic=True, block=bid, thread=t,
             )
+            start = global_sizes[bucket_id]
+            global_sizes[bucket_id] += count
             for i in range(count):
-                local_id = block.shared.read(shm_cache, base + i, thread=t)
-                buckets[bucket_id].append(bid * capacity + local_id)
-                if gpu.tracer is not None:
-                    gpu.tracer.record(
-                        Space.GLOBAL,
-                        "bucket_points",
-                        bucket_id * n + start + i,
-                        Kind.WRITE,
-                        atomic=False,
-                        block=bid,
-                        thread=t,
-                    )
-            gpu.counters.device_bytes += count * POINT_ID_BYTES
-
-    # report the delta accrued on the gpu-level counters during this scatter
-    counters = EventCounters()
-    after = gpu.counters.as_dict()
-    for name in after:
-        setattr(counters, name, after[name] - before[name])
-    counters.device_bytes += len(digits) * COEFF_BYTES
-    return ScatterOutput(buckets, counters)
+                shared(bid, "point_cache", num_buckets + offsets[bucket_id] + i, Kind.READ, t)
+                tracer.record(
+                    Space.GLOBAL, "bucket_points", bucket_id * n + start + i,
+                    Kind.WRITE, atomic=False, block=bid, thread=t,
+                )
 
 
 # -- analytic counterparts ----------------------------------------------------

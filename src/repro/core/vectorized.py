@@ -21,9 +21,11 @@ results with numpy array passes:
 * **bucket sum** — a segmented reduction over :class:`BatchXyzz` lanes
   that replicates the scalar round-robin deal (member ``i`` of a bucket
   with ``T`` lanes goes to lane ``i % T``) and the binary reduction tree
-  (``half = ceil(T/2)``; lane ``i`` absorbs lane ``half + i``), so every
-  per-bucket partial is bit-identical, not merely equal as a group
-  element.
+  (``half = ceil(T/2)``; lane ``i`` absorbs lane ``half + i``), so it
+  charges the same counters; one batched normalization then leaves every
+  sum in the canonical form the scalar path returns (``(x, y, 1, 1)`` or
+  the identity), so both paths give the same group elements in the same
+  four coordinates.
 
 Anything the array formulation cannot replicate — per-access memory
 traces for the ``repro.verify`` race detector — makes the backend fall
@@ -43,6 +45,7 @@ from repro.curves.params import CurveParams
 from repro.curves.point import AffinePoint, XyzzPoint
 from repro.gpu.counters import EventCounters
 from repro.gpu.device import SharedMemoryExceeded, SimulatedGpu
+from repro.msm.batch_affine import batch_normalize
 
 _I64 = np.int64
 
@@ -281,7 +284,11 @@ def vector_bucket_sum(
     negate: np.ndarray | None,
     n_threads: int,
 ) -> VectorizedBucketSums:
-    """Segmented bucket accumulation matching ``bucket_sum`` bit-for-bit.
+    """Segmented bucket accumulation with ``bucket_sum``'s contract.
+
+    Same group elements, in the same canonical form (``(x, y, 1, 1)`` or
+    the identity, normalized with one batched inversion), and the same
+    counters.
 
     ``scat.order`` holds slice-local point ids; ``pid_offset`` shifts them
     back into the stream's global index space (the scalar path's
@@ -356,4 +363,5 @@ def vector_bucket_sum(
         width = half
 
     firsts = acc.take(lane_base) if num_buckets else bc.identity(0)
-    return VectorizedBucketSums(bc.decode(firsts), counters)
+    sums = batch_normalize(bc.decode(firsts), bc.curve.p)
+    return VectorizedBucketSums(sums, counters)

@@ -70,17 +70,29 @@ def xyzz_add(p1: XyzzPoint, p2: XyzzPoint, curve: CurveParams) -> XyzzPoint:
     """General PADD in XYZZ coordinates (paper Algorithm 1).
 
     Handles the identity, doubling (equal inputs) and inverse (P = -Q)
-    special cases that the algorithm's happy path assumes away.
+    special cases that the algorithm's happy path assumes away.  An operand
+    with ``zz == zzz == 1`` (an affine-normalized point, as bucket sums
+    are) skips its multiplications by one; every coordinate of the result
+    is the one the general formula gives.
     """
     if p1.is_identity:
         return p2
     if p2.is_identity:
         return p1
     p = curve.p
-    u1 = p1.x * p2.zz % p
-    u2 = p2.x * p1.zz % p
-    s1 = p1.y * p2.zzz % p
-    s2 = p2.y * p1.zzz % p
+    affine1 = p1.zz == 1 and p1.zzz == 1
+    affine2 = p2.zz == 1 and p2.zzz == 1
+    # u1, s1 enter only expressions reduced mod p, so they may stay unreduced
+    if affine2:
+        u1, s1 = p1.x, p1.y
+    else:
+        u1 = p1.x * p2.zz % p
+        s1 = p1.y * p2.zzz % p
+    if affine1:
+        u2, s2 = p2.x, p2.y
+    else:
+        u2 = p2.x * p1.zz % p
+        s2 = p2.y * p1.zzz % p
     pp_ = (u2 - u1) % p
     r = (s2 - s1) % p
     if pp_ == 0:
@@ -92,6 +104,12 @@ def xyzz_add(p1: XyzzPoint, p2: XyzzPoint, curve: CurveParams) -> XyzzPoint:
     q = u1 * pp % p
     x3 = (r * r - ppp - 2 * q) % p
     y3 = (r * (q - x3) - s1 * ppp) % p
+    if affine1 and affine2:
+        return XyzzPoint(x3, y3, pp, ppp)
+    if affine2:
+        return XyzzPoint(x3, y3, p1.zz * pp % p, p1.zzz * ppp % p)
+    if affine1:
+        return XyzzPoint(x3, y3, p2.zz * pp % p, p2.zzz * ppp % p)
     zz3 = p1.zz * p2.zz % p * pp % p
     zzz3 = p1.zzz * p2.zzz % p * ppp % p
     return XyzzPoint(x3, y3, zz3, zzz3)

@@ -316,7 +316,7 @@ def simulate(
     schedule it produces (spans, bindings, failures, attempts, makespan)
     is byte-for-byte the one the original dict-keyed loop computed; the
     differential tier pins this against
-    :func:`repro.engine._reference.reference_simulate`.
+    ``tests.support.reference_simulate``, a frozen copy of that loop.
     """
     task_list = tuple(tasks)
     n = len(task_list)

@@ -8,8 +8,11 @@ amortised affine addition then costs ~6 multiplications — cheaper than
 XYZZ's 10-14 — which is why ZPrize-grade implementations (Yrrid, sppark)
 accumulate buckets in rounds of pairwise batched affine additions.
 
-This module implements the scheme for real (with all edge cases: identity
-operands, doubling, inverse pairs) and exposes an MSM built on it, giving
+:func:`add_pairs` is the one pairwise adder (all edge cases: identity
+operands, doubling, inverse pairs).  It works on plain ``(x, y)`` tuples,
+``None`` for the identity, because the simulated bucket-sum
+(:func:`repro.core.bucket_sum.bucket_sum`) runs every PACC round and tree
+level through it.  The :class:`AffinePoint` wrappers and the MSM below give
 the repository an executable reference for the baselines' arithmetic style.
 """
 
@@ -18,10 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.curves.params import CurveParams
-from repro.curves.point import AffinePoint
+from repro.curves.point import AffinePoint, XyzzPoint, to_affine
 from repro.curves.scalar import num_windows, unsigned_windows
 from repro.msm.pippenger import PippengerStats, bucket_reduce, window_reduce
-from repro.curves.point import XyzzPoint, to_affine
 
 
 @dataclass
@@ -59,6 +61,92 @@ def batch_inverse(values: list[int], p: int, stats: BatchAffineStats | None = No
     return out
 
 
+def add_pairs(
+    lhs: list,
+    rhs: list,
+    p: int,
+    a: int,
+    stats: BatchAffineStats | None = None,
+) -> list:
+    """``lhs[i] + rhs[i]`` for every ``i``, sharing one modular inversion.
+
+    Points are ``(x, y)`` tuples with coordinates in ``[0, p)``, or ``None``
+    for the identity.  Identity operands and inverse pairs (``P = -Q``)
+    resolve without joining the inversion; doubling (``P = Q``) joins it
+    with the tangent slope.  Results use the same encoding.
+    """
+    out = [None] * len(lhs)
+    todo = []  # indices that need the shared inversion
+    nums = []  # slope numerators
+    dens = []  # slope denominators
+    prefix = []  # product of the denominators before each one
+    acc = 1
+    doublings = 0
+    for i, (left, right) in enumerate(zip(lhs, rhs)):
+        if left is None:
+            out[i] = right
+            continue
+        if right is None:
+            out[i] = left
+            continue
+        x1, y1 = left
+        x2, y2 = right
+        if x1 == x2:
+            if y1 != y2 or not y1:
+                continue  # P = -Q, or doubling a 2-torsion point: identity
+            nums.append(3 * x1 * x1 + a)
+            den = 2 * y1
+            doublings += 1
+        else:
+            nums.append(y2 - y1)
+            den = x2 - x1
+        todo.append(i)
+        dens.append(den)
+        prefix.append(acc)
+        acc = acc * den % p
+    if not todo:
+        return out
+    inv = pow(acc, -1, p)
+    for k in range(len(todo) - 1, -1, -1):
+        i = todo[k]
+        lam = nums[k] * inv * prefix[k] % p
+        inv = inv * dens[k] % p
+        x1, y1 = lhs[i]
+        x3 = (lam * lam - x1 - rhs[i][0]) % p
+        out[i] = (x3, (lam * (x1 - x3) - y1) % p)
+    if stats is not None:
+        stats.inversions += 1
+        stats.additions += len(todo) - doublings
+        stats.doublings += doublings
+        stats.field_muls += 6 * len(todo)
+    return out
+
+
+def _tuple(pt: AffinePoint) -> tuple[int, int] | None:
+    return None if pt.infinity else (pt.x, pt.y)
+
+
+def _affine(pt: tuple[int, int] | None) -> AffinePoint:
+    return AffinePoint.identity() if pt is None else AffinePoint(*pt)
+
+
+def batch_normalize(points: list[XyzzPoint], p: int) -> list[XyzzPoint]:
+    """Every XYZZ point as ``(x, y, 1, 1)`` (or the identity), one inversion.
+
+    The canonical form bucket sums leave in: two representatives of one
+    group element normalize to the same four coordinates.
+    """
+    live = [pt for pt in points if not pt.is_identity]
+    inverses = iter(batch_inverse([c for pt in live for c in (pt.zz, pt.zzz)], p))
+    out = []
+    for pt in points:
+        if pt.is_identity:
+            out.append(XyzzPoint.identity())
+        else:
+            out.append(XyzzPoint(pt.x * next(inverses) % p, pt.y * next(inverses) % p, 1, 1))
+    return out
+
+
 def batch_affine_add_pairs(
     pairs: list,
     curve: CurveParams,
@@ -67,57 +155,11 @@ def batch_affine_add_pairs(
     """Add many independent pairs of affine points with one inversion.
 
     Each element of ``pairs`` is ``(P, Q)``; the result list holds
-    ``P + Q``.  Identity operands, doubling (P == Q) and inverse pairs are
-    handled without joining the batched inversion.
+    ``P + Q`` (see :func:`add_pairs`).
     """
-    p = curve.p
-    denominators = []
-    kinds = []  # "add" | "double" | "trivial"
-    trivial_results: list = [None] * len(pairs)
-
-    for idx, (lhs, rhs) in enumerate(pairs):
-        if lhs.infinity:
-            kinds.append("trivial")
-            trivial_results[idx] = rhs
-            denominators.append(0)
-        elif rhs.infinity:
-            kinds.append("trivial")
-            trivial_results[idx] = lhs
-            denominators.append(0)
-        elif lhs.x == rhs.x:
-            if (lhs.y + rhs.y) % p == 0:
-                kinds.append("trivial")
-                trivial_results[idx] = AffinePoint.identity()
-                denominators.append(0)
-            else:
-                kinds.append("double")
-                denominators.append(2 * lhs.y % p)
-        else:
-            kinds.append("add")
-            denominators.append((rhs.x - lhs.x) % p)
-
-    inverses = batch_inverse(denominators, p, stats)
-
-    out = []
-    for idx, (lhs, rhs) in enumerate(pairs):
-        kind = kinds[idx]
-        if kind == "trivial":
-            out.append(trivial_results[idx])
-            continue
-        if kind == "double":
-            slope = (3 * lhs.x * lhs.x + curve.a) * inverses[idx] % p
-            if stats is not None:
-                stats.doublings += 1
-        else:
-            slope = (rhs.y - lhs.y) * inverses[idx] % p
-            if stats is not None:
-                stats.additions += 1
-        x3 = (slope * slope - lhs.x - rhs.x) % p
-        y3 = (slope * (lhs.x - x3) - lhs.y) % p
-        if stats is not None:
-            stats.field_muls += 3  # slope product + slope^2 + final product
-        out.append(AffinePoint(x3, y3))
-    return out
+    lhs = [_tuple(left) for left, _ in pairs]
+    rhs = [_tuple(right) for _, right in pairs]
+    return [_affine(pt) for pt in add_pairs(lhs, rhs, curve.p, curve.a, stats)]
 
 
 def bucket_sums_batch_affine(
@@ -130,25 +172,24 @@ def bucket_sums_batch_affine(
     Per round, each bucket pairs up its remaining points; all pairs across
     all buckets share one inversion.  ``log2(max bucket)`` rounds total.
     """
-    work = [list(members) for members in buckets]
+    work = [[_tuple(pt) for pt in members] for members in buckets]
     while any(len(m) > 1 for m in work):
         if stats is not None:
             stats.rounds += 1
-        pair_refs = []
-        pairs = []
-        for b, members in enumerate(work):
-            for i in range(0, len(members) - 1, 2):
-                pair_refs.append((b, i // 2))
-                pairs.append((members[i], members[i + 1]))
-        results = batch_affine_add_pairs(pairs, curve, stats)
-        next_work = [[] for _ in work]
-        for (b, slot), result in zip(pair_refs, results):
-            next_work[b].append(result)
-        for b, members in enumerate(work):
+        lhs: list = []
+        rhs: list = []
+        for members in work:
+            lhs.extend(members[0:-1:2])
+            rhs.extend(members[1::2])
+        results = iter(add_pairs(lhs, rhs, curve.p, curve.a, stats))
+        next_work = []
+        for members in work:
+            summed = [next(results) for _ in range(len(members) // 2)]
             if len(members) % 2:
-                next_work[b].append(members[-1])
+                summed.append(members[-1])
+            next_work.append(summed)
         work = next_work
-    return [m[0] if m else AffinePoint.identity() for m in work]
+    return [_affine(m[0]) if m else AffinePoint.identity() for m in work]
 
 
 def msm_batch_affine(

@@ -19,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.backends import FunctionalBackend
 from repro.core.config import DistMsmConfig
-from repro.core.distmsm import DistMsm
+from repro.core.distmsm import DistMsm, _GpuWork
+from repro.core.planner import Assignment
 from repro.core.vectorized import window_digit_matrix
 from repro.curves.params import curve_by_name, list_curves
 from repro.curves.sampling import msm_instance
@@ -133,6 +134,42 @@ class TestExecuteParity:
         traced = vector_engine.execute(scalars, points, TOY_CURVE, trace=Tracer())
         assert plain.point == traced.point
         assert plain.time_ms == traced.time_ms
+
+
+class TestWindowSumParity:
+    """Per-window bucket sums: same four coordinates on both paths."""
+
+    @staticmethod
+    def _window_sums(curve, scalars, points, vectorized, **overrides):
+        system = MultiGpuSystem(num_gpus=1)
+        config = DistMsmConfig(window_size=6, vectorized=vectorized, **overrides)
+        msm = DistMsm(system, config)
+        backend = FunctionalBackend(msm, scalars, points, curve)
+        n_win = -(-curve.scalar_bits // 6)
+        backend.prepare(6, n_win, n_win)
+        work = _GpuWork()
+        sums = [
+            backend.run_assignment(work, Assignment(gpu=0, window=w), msm.num_buckets(6))
+            for w in range(n_win)
+        ]
+        return sums, work.sums
+
+    @pytest.mark.parametrize("curve_name", ["TOY", "BN254"])
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_sums_identical_and_canonical(self, curve_name, signed):
+        curve = TOY_CURVE if curve_name == "TOY" else curve_by_name(curve_name)
+        scalars, points = msm_instance(curve, 96, seed=4)
+        sums_s, counts_s = self._window_sums(
+            curve, scalars, points, False, signed_digits=signed
+        )
+        sums_v, counts_v = self._window_sums(
+            curve, scalars, points, True, signed_digits=signed
+        )
+        assert sums_s == sums_v
+        assert counts_s == counts_v
+        for window in sums_s:
+            for pt in window:
+                assert pt.is_identity or (pt.zz, pt.zzz) == (1, 1)
 
 
 class TestFaultParity:

@@ -18,6 +18,7 @@ from repro.curves.point import (
 )
 
 from tests.conftest import TOY_CURVE
+from tests.support.frozen_msm import frozen_xyzz_add
 
 
 def _toy_points():
@@ -169,6 +170,60 @@ class TestPdbl:
         assert xyzz_neg(xyzz_neg(pt, TOY_CURVE), TOY_CURVE) == pt
         assert xyzz_neg(XyzzPoint.identity(), TOY_CURVE).is_identity
         assert affine_neg(AffinePoint.identity(), TOY_CURVE).infinity
+
+
+def _representative(pt: AffinePoint, z: int, lift: int) -> XyzzPoint:
+    """``pt`` with denominator ``z`` (``z == 1``: affine-normalized), every
+    coordinate then lifted by ``lift * p`` so it is no longer reduced."""
+    if pt.infinity:
+        return XyzzPoint.identity()
+    p = TOY_CURVE.p
+    base = _as_xyzz_scaled(pt, z) if z != 1 else XyzzPoint.from_affine(pt)
+    return XyzzPoint(*(c + lift * p for c in (base.x, base.y, base.zz, base.zzz)))
+
+
+operand = st.tuples(
+    point_indices,
+    st.sampled_from(["self", "other", "neg", "identity"]),
+    st.one_of(st.just(1), st.integers(2, TOY_CURVE.p - 1)),
+    st.sampled_from([0, 0, 1, 7]),
+)
+
+
+class TestMultiplyByOneShortcut:
+    """``xyzz_add`` with a ``zz == zzz == 1`` operand equals the general
+    formula in all four coordinates, operand order kept."""
+
+    @given(i=point_indices, lhs=operand, rhs=operand)
+    @settings(max_examples=300, deadline=None)
+    def test_coordinates_match_general_formula(self, i, lhs, rhs):
+        def build(spec):
+            j, relation, z, lift = spec
+            pt = {
+                "self": TOY_POINTS[i],
+                "other": TOY_POINTS[j],
+                "neg": affine_neg(TOY_POINTS[i], TOY_CURVE),
+                "identity": AffinePoint.identity(),
+            }[relation]
+            return _representative(pt, z, lift)
+
+        a, b = build(lhs), build(rhs)
+        assert xyzz_add(a, b, TOY_CURVE) == frozen_xyzz_add(a, b, TOY_CURVE)
+        assert xyzz_add(b, a, TOY_CURVE) == frozen_xyzz_add(b, a, TOY_CURVE)
+
+    @given(
+        st.tuples(*[st.integers(0, 4 * TOY_CURVE.p)] * 2),
+        st.tuples(*[st.integers(0, 4 * TOY_CURVE.p)] * 4),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_holds_off_curve_too(self, xy, other, flip):
+        """The shortcut is an identity of the formulas, not of the group."""
+        a = XyzzPoint(*xy, 1, 1)
+        b = XyzzPoint(*other)
+        if flip:
+            a, b = b, a
+        assert xyzz_add(a, b, TOY_CURVE) == frozen_xyzz_add(a, b, TOY_CURVE)
 
 
 class TestPmul:

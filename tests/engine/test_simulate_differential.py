@@ -1,7 +1,7 @@
 """Differential: the int-indexed ``simulate`` loop vs the frozen reference.
 
 ``repro.engine.timeline.simulate`` was rewritten around a ready-heap over
-integer task ids; ``repro.engine._reference.reference_simulate`` preserves
+integer task ids; ``tests.support.reference_simulate`` preserves
 the original dict-keyed loop verbatim.  These tests pin the rewrite to the
 reference across seeded random DAGs — fault-free and under fault plans
 with retry backoff — over the *whole* observable Timeline surface: span
@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import pytest
 
-from repro.engine._reference import reference_simulate
+from tests.support.reference_simulate import reference_simulate
 from repro.engine.faults import (
     FaultPlan,
     GpuFailure,

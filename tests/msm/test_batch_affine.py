@@ -7,7 +7,9 @@ from repro.curves.point import AffinePoint, XyzzPoint, affine_neg, to_affine, xy
 from repro.curves.sampling import msm_instance, sample_points
 from repro.msm.batch_affine import (
     BatchAffineStats,
+    add_pairs,
     batch_affine_add_pairs,
+    batch_normalize,
     batch_inverse,
     bucket_sums_batch_affine,
     msm_batch_affine,
@@ -77,6 +79,55 @@ class TestBatchAdd:
         assert stats.additions == 1
         assert stats.doublings == 1
         assert stats.inversions == 1
+
+
+class TestAddPairs:
+    """The tuple-level adder the bucket sum runs on."""
+
+    def test_two_torsion_doubling_is_identity(self):
+        """y = 0 means P = -P: doubling gives the identity, not a zero
+        denominator in the shared inversion."""
+        pts = sample_points(TOY_CURVE, 1, seed=3)
+        ordinary = (pts[0].x, pts[0].y)
+        out = add_pairs(
+            [(5, 0), ordinary], [(5, 0), None], TOY_CURVE.p, TOY_CURVE.a
+        )
+        assert out == [None, ordinary]
+
+    def test_matches_wrapper_and_counts(self):
+        pts = sample_points(TOY_CURVE, 6, seed=13)
+        tuples = [(pt.x, pt.y) for pt in pts]
+        stats = BatchAffineStats()
+        out = add_pairs(tuples[:3], tuples[3:], TOY_CURVE.p, TOY_CURVE.a, stats)
+        wrapped = batch_affine_add_pairs(list(zip(pts[:3], pts[3:])), TOY_CURVE)
+        assert [AffinePoint(*pt) for pt in out] == wrapped
+        assert (stats.inversions, stats.additions, stats.field_muls) == (1, 3, 18)
+
+    def test_no_inversion_when_all_trivial(self):
+        pt = sample_points(TOY_CURVE, 1, seed=14)[0]
+        stats = BatchAffineStats()
+        neg = affine_neg(pt, TOY_CURVE)
+        out = add_pairs(
+            [None, (pt.x, pt.y)], [None, (neg.x, neg.y)], TOY_CURVE.p, TOY_CURVE.a, stats
+        )
+        assert out == [None, None]
+        assert stats.inversions == 0
+
+
+class TestBatchNormalize:
+    def test_canonical_representatives(self):
+        pts = sample_points(TOY_CURVE, 5, seed=15)
+        p = TOY_CURVE.p
+        scaled = []
+        for z, pt in enumerate(pts, start=2):
+            zz, zzz = z * z % p, z * z * z % p
+            scaled.append(XyzzPoint(pt.x * zz % p, pt.y * zzz % p, zz, zzz))
+        scaled.insert(2, XyzzPoint.identity())
+        out = batch_normalize(scaled, p)
+        assert out[2] == XyzzPoint.identity()
+        assert [q for i, q in enumerate(out) if i != 2] == [
+            XyzzPoint.from_affine(pt) for pt in pts
+        ]
 
 
 class TestBucketSums:
