@@ -47,6 +47,8 @@ bench-smoke:
 	@$(PYTHON) benchmarks/bench_fig3.py
 	@echo "== vectorized backend + heap engine smoke benchmark"
 	@$(PYTHON) benchmarks/bench_vectorized.py --smoke
+	@echo "== Groth16 G2 + pairing arithmetic vs frozen smoke benchmark"
+	@$(PYTHON) benchmarks/bench_groth16.py --smoke
 
 bench-compare:
 	@echo "== benchmark regression gate (results/ vs benchmarks/baselines/)"

@@ -9,7 +9,8 @@ genuine consumer:
 * :mod:`repro.zksnark.r1cs` — rank-1 constraint systems.
 * :mod:`repro.zksnark.qap` — R1CS -> quadratic arithmetic program.
 * :mod:`repro.zksnark.pairing` — the BN254 optimal-ate pairing
-  (Fp2/Fp6/Fp12 tower, Miller loop, final exponentiation).
+  (Fp2/Fp12 tower, shared Miller loop, split final exponentiation), on
+  the inversion-free G2 arithmetic of :mod:`repro.zksnark.g2`.
 * :mod:`repro.zksnark.groth16` — setup / prove / verify; the prover's
   commitments run through :mod:`repro.msm`.
 * :mod:`repro.zksnark.workloads` — synthetic circuits standing in for the
