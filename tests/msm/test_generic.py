@@ -64,4 +64,4 @@ class TestG2Msm:
 
     def test_results_on_twist(self, g2_points):
         result = g2_msm([3, 1, 4, 1], g2_points)
-        assert pr.is_on_curve_fq(result, pr.B2)
+        assert pr.G2.is_on_curve(result)

@@ -7,15 +7,14 @@ from repro.curves.params import curve_by_name
 from repro.curves.point import AffinePoint, affine_neg, pmul
 from repro.zksnark.pairing import (
     ATE_LOOP_COUNT,
-    B2,
     FQ2,
     FQ12,
     G1_GENERATOR,
+    G2,
     G2_GENERATOR,
     cast_g1_to_fq12,
     g2_add,
     g2_mul,
-    is_on_curve_fq,
     pairing,
     pairing_check,
     point_add,
@@ -101,13 +100,13 @@ class TestFQ12:
 
 class TestG2:
     def test_generator_on_twist(self):
-        assert is_on_curve_fq(G2_GENERATOR, B2)
+        assert G2.is_on_curve(G2_GENERATOR)
 
     def test_double_and_add_consistent(self):
         d = point_double(G2_GENERATOR)
         a = point_add(G2_GENERATOR, G2_GENERATOR)
         assert d == a
-        assert is_on_curve_fq(d, B2)
+        assert G2.is_on_curve(d)
 
     def test_identity_handling(self):
         assert point_add(None, G2_GENERATOR) == G2_GENERATOR

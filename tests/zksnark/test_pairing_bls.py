@@ -6,13 +6,12 @@ from repro.curves.params import curve_by_name
 from repro.curves.point import AffinePoint, affine_neg, pmul
 from repro.zksnark.pairing_bls import (
     ATE_LOOP_COUNT_BLS,
-    B2_BLS,
     FQ2B,
     FQ12B,
     G1_GENERATOR_BLS,
+    G2_BLS,
     G2_GENERATOR_BLS,
     g2_mul_bls,
-    is_on_curve_fq,
     pairing_bls,
     pairing_check_bls,
     twist_bls,
@@ -44,7 +43,7 @@ class TestTower:
 
 class TestG2:
     def test_generator_on_twist(self):
-        assert is_on_curve_fq(G2_GENERATOR_BLS, B2_BLS)
+        assert G2_BLS.is_on_curve(G2_GENERATOR_BLS)
 
     def test_twist_lands_on_fq12_curve(self):
         tx, ty = twist_bls(G2_GENERATOR_BLS)
