@@ -49,6 +49,8 @@ bench-smoke:
 	@$(PYTHON) benchmarks/bench_vectorized.py --smoke
 	@echo "== Groth16 G2 + pairing arithmetic vs frozen smoke benchmark"
 	@$(PYTHON) benchmarks/bench_groth16.py --smoke
+	@echo "== src/ size and unimported modules (context, not gated)"
+	@$(PYTHON) benchmarks/bench_src_lines.py
 
 bench-compare:
 	@echo "== benchmark regression gate (results/ vs benchmarks/baselines/)"

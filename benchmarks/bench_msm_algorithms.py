@@ -1,8 +1,8 @@
 """Real timings of the MSM algorithms (pytest-benchmark).
 
 Shows the classic algorithmic ladder on actual executions: naive
-double-and-add, serial Pippenger (unsigned / signed), precomputation, and
-the DistMSM engine's functional path.
+double-and-add, serial (signed-digit) Pippenger, and the DistMSM engine's
+functional path.
 """
 
 import pytest
@@ -11,11 +11,9 @@ from repro.core.config import DistMsmConfig
 from repro.core.distmsm import DistMsm
 from repro.curves.params import curve_by_name
 from repro.curves.sampling import msm_instance
-from repro.curves.scalar import num_windows
 from repro.gpu.cluster import MultiGpuSystem
 from repro.msm.naive import naive_msm
 from repro.msm.pippenger import pippenger_msm
-from repro.msm.precompute import msm_with_precompute, precompute_tables
 
 from repro.curves.toy import toy_curve
 
@@ -39,27 +37,14 @@ def test_naive_msm_toy(benchmark, toy_instance):
     benchmark(naive_msm, scalars, points, TOY_CURVE)
 
 
-def test_pippenger_unsigned_toy(benchmark, toy_instance):
+def test_pippenger_toy(benchmark, toy_instance):
     scalars, points = toy_instance
     benchmark(pippenger_msm, scalars, points, TOY_CURVE, 4)
-
-
-def test_pippenger_signed_toy(benchmark, toy_instance):
-    scalars, points = toy_instance
-    benchmark(pippenger_msm, scalars, points, TOY_CURVE, 4, True)
 
 
 def test_pippenger_bn254(benchmark, bn_instance):
     scalars, points = bn_instance
     benchmark(pippenger_msm, scalars, points, BN254, 8)
-
-
-def test_precompute_msm_toy(benchmark, toy_instance):
-    scalars, points = toy_instance
-    s = 4
-    windows = num_windows(TOY_CURVE.scalar_bits, s) + 1
-    tables = precompute_tables(points, TOY_CURVE, s, windows)
-    benchmark(msm_with_precompute, scalars, tables, TOY_CURVE, s, True)
 
 
 def test_distmsm_functional_toy(benchmark, toy_instance):

@@ -13,8 +13,9 @@ import math
 from dataclasses import dataclass
 
 from repro.curves.params import CurveParams
-from repro.curves.point import XyzzPoint, pdbl, xyzz_add
+from repro.curves.point import XyzzPoint
 from repro.gpu.counters import EventCounters
+from repro.msm.generic import bucket_reduce, window_fold, xyzz_group
 
 
 @dataclass
@@ -26,18 +27,15 @@ class ReduceOutput:
 
 
 def cpu_bucket_reduce(bucket_sums: list, curve: CurveParams) -> ReduceOutput:
-    """Serial ``sum(i * B_i)`` via the running suffix-sum trick.
+    """Serial ``sum(i * B_i)`` via the running suffix-sum trick
+    (:func:`repro.msm.generic.bucket_reduce`).
 
     2 PADDs per bucket — the count the paper's CPU-offload argument uses.
     """
-    counters = EventCounters()
-    running = XyzzPoint.identity()
-    total = XyzzPoint.identity()
-    for b in range(len(bucket_sums) - 1, 0, -1):
-        running = xyzz_add(running, bucket_sums[b], curve)
-        total = xyzz_add(total, running, curve)
-        counters.cpu_padd += 2
-    return ReduceOutput(total, counters)
+    return ReduceOutput(
+        bucket_reduce(bucket_sums, xyzz_group(curve)),
+        cpu_bucket_reduce_counts(len(bucket_sums)),
+    )
 
 
 def cpu_window_reduce(
@@ -45,16 +43,14 @@ def cpu_window_reduce(
     window_size: int,
     curve: CurveParams,
 ) -> ReduceOutput:
-    """Fold per-window results with ``s`` doublings between windows."""
+    """Fold per-window results with ``s`` doublings between windows
+    (:func:`repro.msm.generic.window_fold`)."""
     counters = EventCounters()
-    acc = XyzzPoint.identity()
-    for result in reversed(window_results):
-        for _ in range(window_size):
-            acc = pdbl(acc, curve)
-            counters.cpu_pdbl += 1
-        acc = xyzz_add(acc, result, curve)
-        counters.cpu_padd += 1
-    return ReduceOutput(acc, counters)
+    counters.cpu_pdbl = window_size * len(window_results)
+    counters.cpu_padd = len(window_results)
+    return ReduceOutput(
+        window_fold(window_results, window_size, xyzz_group(curve)), counters
+    )
 
 
 # -- analytic counts ---------------------------------------------------------

@@ -10,7 +10,6 @@ paper's GPU kernels are built on:
   background (Algorithm 2).
 * :mod:`repro.fields.prime_field` — the prime-field element API used by the
   curve and zkSNARK layers.
-* :mod:`repro.fields.extension` — Fp2/Fp6/Fp12 towers for the BN254 pairing.
 """
 
 from repro.fields.limbs import (
@@ -39,17 +38,5 @@ __all__ = [
     "to_limbs",
     "MontgomeryContext",
     "PrimeField",
-    "Fp2",
-    "Fp6",
-    "Fp12",
 ]
 
-
-def __getattr__(name):
-    """Lazy tower-field exports: the extension module needs the curve
-    registry, which itself builds on this package (import-order cycle)."""
-    if name in ("Fp2", "Fp6", "Fp12"):
-        from repro.fields import extension
-
-        return getattr(extension, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,18 +12,14 @@ accumulate buckets in rounds of pairwise batched affine additions.
 operands, doubling, inverse pairs).  It works on plain ``(x, y)`` tuples,
 ``None`` for the identity, because the simulated bucket-sum
 (:func:`repro.core.bucket_sum.bucket_sum`) runs every PACC round and tree
-level through it.  The :class:`AffinePoint` wrappers and the MSM below give
-the repository an executable reference for the baselines' arithmetic style.
+level through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.curves.params import CurveParams
-from repro.curves.point import AffinePoint, XyzzPoint, to_affine
-from repro.curves.scalar import num_windows, unsigned_windows
-from repro.msm.pippenger import PippengerStats, bucket_reduce, window_reduce
+from repro.curves.point import XyzzPoint
 
 
 @dataclass
@@ -33,7 +29,6 @@ class BatchAffineStats:
     additions: int = 0
     doublings: int = 0
     inversions: int = 0
-    rounds: int = 0
     field_muls: int = 0
 
 
@@ -122,14 +117,6 @@ def add_pairs(
     return out
 
 
-def _tuple(pt: AffinePoint) -> tuple[int, int] | None:
-    return None if pt.infinity else (pt.x, pt.y)
-
-
-def _affine(pt: tuple[int, int] | None) -> AffinePoint:
-    return AffinePoint.identity() if pt is None else AffinePoint(*pt)
-
-
 def batch_normalize(points: list[XyzzPoint], p: int) -> list[XyzzPoint]:
     """Every XYZZ point as ``(x, y, 1, 1)`` (or the identity), one inversion.
 
@@ -146,81 +133,3 @@ def batch_normalize(points: list[XyzzPoint], p: int) -> list[XyzzPoint]:
             out.append(XyzzPoint(pt.x * next(inverses) % p, pt.y * next(inverses) % p, 1, 1))
     return out
 
-
-def batch_affine_add_pairs(
-    pairs: list,
-    curve: CurveParams,
-    stats: BatchAffineStats | None = None,
-) -> list[AffinePoint]:
-    """Add many independent pairs of affine points with one inversion.
-
-    Each element of ``pairs`` is ``(P, Q)``; the result list holds
-    ``P + Q`` (see :func:`add_pairs`).
-    """
-    lhs = [_tuple(left) for left, _ in pairs]
-    rhs = [_tuple(right) for _, right in pairs]
-    return [_affine(pt) for pt in add_pairs(lhs, rhs, curve.p, curve.a, stats)]
-
-
-def bucket_sums_batch_affine(
-    buckets: list,
-    curve: CurveParams,
-    stats: BatchAffineStats | None = None,
-) -> list[AffinePoint]:
-    """Sum every bucket's members via rounds of batched pairwise additions.
-
-    Per round, each bucket pairs up its remaining points; all pairs across
-    all buckets share one inversion.  ``log2(max bucket)`` rounds total.
-    """
-    work = [[_tuple(pt) for pt in members] for members in buckets]
-    while any(len(m) > 1 for m in work):
-        if stats is not None:
-            stats.rounds += 1
-        lhs: list = []
-        rhs: list = []
-        for members in work:
-            lhs.extend(members[0:-1:2])
-            rhs.extend(members[1::2])
-        results = iter(add_pairs(lhs, rhs, curve.p, curve.a, stats))
-        next_work = []
-        for members in work:
-            summed = [next(results) for _ in range(len(members) // 2)]
-            if len(members) % 2:
-                summed.append(members[-1])
-            next_work.append(summed)
-        work = next_work
-    return [_affine(m[0]) if m else AffinePoint.identity() for m in work]
-
-
-def msm_batch_affine(
-    scalars: list[int],
-    points: list[AffinePoint],
-    curve: CurveParams,
-    window_size: int = 8,
-    stats: BatchAffineStats | None = None,
-) -> AffinePoint:
-    """Pippenger MSM with batched-affine bucket accumulation."""
-    if len(scalars) != len(points):
-        raise ValueError(
-            f"length mismatch: {len(scalars)} scalars, {len(points)} points"
-        )
-    if not scalars:
-        return AffinePoint.identity()
-    if stats is None:
-        stats = BatchAffineStats()
-    s = window_size
-    n_win = num_windows(curve.scalar_bits, s)
-    num_buckets = 1 << s
-    pip_stats = PippengerStats()
-
-    window_results = []
-    for w in range(n_win):
-        buckets: list[list[AffinePoint]] = [[] for _ in range(num_buckets)]
-        for k, pt in zip(scalars, points):
-            digit = unsigned_windows(k, s, n_win)[w]
-            if digit:
-                buckets[digit].append(pt)
-        sums = bucket_sums_batch_affine(buckets, curve, stats)
-        xyzz = [XyzzPoint.from_affine(pt) for pt in sums]
-        window_results.append(bucket_reduce(xyzz, curve, pip_stats))
-    return to_affine(window_reduce(window_results, s, curve, pip_stats), curve)

@@ -1,9 +1,20 @@
-"""Pippenger over any abelian group, given its operations.
+"""Pippenger over any abelian group, given its operations (paper §2.3).
 
 The bucket method only needs addition, negation and an identity — nothing
-curve-specific.  This generic form serves groups our specialised engines do
-not cover, most importantly **G2** (points over Fp2), whose multi-scalar
-multiplication appears in every Groth16 proof's B-query.
+curve-specific.  This module holds the one host-side form of it, which
+every serial MSM in the repository runs:
+
+* G1 (:func:`repro.msm.pippenger.pippenger_msm`) over XYZZ points,
+  :func:`xyzz_group`;
+* G2 (:meth:`repro.zksnark.g2.G2Curve.msm`) over Jacobian points on the
+  twist, the B-query of every Groth16 proof;
+* the DistMSM host reduces (:mod:`repro.core.bucket_reduce`) and the
+  outsourced-chunk value (:func:`repro.msm.outsource.chunk_value`), which
+  call :func:`bucket_reduce` and :func:`window_fold` directly.
+
+Digits are always signed (:func:`~repro.curves.scalar.signed_windows`):
+it halves the buckets for the cost of one negation, which every group
+here has for free.
 """
 
 from __future__ import annotations
@@ -11,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.curves.params import CurveParams
+from repro.curves.point import XyzzPoint, xyzz_add, xyzz_neg
 from repro.curves.scalar import num_windows, signed_windows
 
 
@@ -26,6 +39,44 @@ class GroupOps:
         return self.add(a, a)
 
 
+def xyzz_group(curve: CurveParams) -> GroupOps:
+    """``curve``'s G1 in XYZZ coordinates.
+
+    ``xyzz_add`` of two equal operands is ``pdbl`` of one, coordinate for
+    coordinate, so :meth:`GroupOps.double` gives PDBL's result.
+    """
+    return GroupOps(
+        add=lambda a, b: xyzz_add(a, b, curve),
+        neg=lambda a: xyzz_neg(a, curve),
+        identity=XyzzPoint.identity(),
+    )
+
+
+def bucket_reduce(buckets: list, ops: GroupOps):
+    """``sum(i * B_i)`` with the running suffix-sum trick.
+
+    ``running`` accumulates ``B_max + ... + B_i`` while ``total``
+    accumulates the weighted sum: 2 additions per bucket, no scalar
+    multiplication.  Index 0 is skipped (its weight is zero).
+    """
+    running = total = ops.identity
+    for b in range(len(buckets) - 1, 0, -1):
+        running = ops.add(running, buckets[b])
+        total = ops.add(total, running)
+    return total
+
+
+def window_fold(window_results: list, window_size: int, ops: GroupOps):
+    """Fold per-window results most-significant first: ``s`` doublings and
+    one addition per window."""
+    acc = ops.identity
+    for result in reversed(window_results):
+        for _ in range(window_size):
+            acc = ops.double(acc)
+        acc = ops.add(acc, result)
+    return acc
+
+
 def pippenger_generic(
     scalars: list[int],
     points: list,
@@ -39,7 +90,8 @@ def pippenger_generic(
     scalars at s=8 that's ~40x cheaper than per-term double-and-add.
     ``window_size=None`` picks :func:`msm_window` for ``len(points)``.  The
     window changes only how many additions run: the result is the same
-    group element for every window size.
+    group element for every window size.  A scalar wider than
+    ``scalar_bits`` raises :class:`ValueError`.
     """
     if len(scalars) != len(points):
         raise ValueError(
@@ -52,11 +104,10 @@ def pippenger_generic(
         raise ValueError("window size must be >= 2 for signed digits")
     n_win = num_windows(scalar_bits, s)
     digit_rows = [signed_windows(k, s, n_win) for k in scalars]
-    total_windows = n_win + 1
     num_buckets = (1 << (s - 1)) + 1
 
     window_results = []
-    for w in range(total_windows):
+    for w in range(n_win + 1):  # + 1: the carry window
         buckets = [ops.identity] * num_buckets
         for digits, pt in zip(digit_rows, points):
             d = digits[w]
@@ -64,34 +115,17 @@ def pippenger_generic(
                 buckets[d] = ops.add(buckets[d], pt)
             elif d < 0:
                 buckets[-d] = ops.add(buckets[-d], ops.neg(pt))
-        running = ops.identity
-        total = ops.identity
-        for b in range(num_buckets - 1, 0, -1):
-            running = ops.add(running, buckets[b])
-            total = ops.add(total, running)
-        window_results.append(total)
-
-    acc = ops.identity
-    for result in reversed(window_results):
-        for _ in range(s):
-            acc = ops.double(acc)
-        acc = ops.add(acc, result)
-    return acc
+        window_results.append(bucket_reduce(buckets, ops))
+    return window_fold(window_results, s, ops)
 
 
 def msm_window(n: int, scalar_bits: int) -> int:
     """The window minimising the signed-digit add count ``ceil(λ/s) * (N + 2^(s-1))``.
 
-    Ties go to the smaller window, which has fewer buckets.
+    Every window from 2 to λ is a candidate (a window wider than λ only
+    adds buckets).  Ties go to the smaller window, which has fewer buckets.
     """
     return min(
-        range(2, 17),
+        range(2, max(2, scalar_bits) + 1),
         key=lambda s: (num_windows(scalar_bits, s) * (n + (1 << (s - 1))), s),
     )
-
-
-def g2_msm(scalars: list[int], points: list):
-    """Multi-scalar multiplication in BN254 G2 (Groth16's B-query)."""
-    from repro.zksnark.backend import backend_by_name
-
-    return backend_by_name("BN254").g2_msm(scalars, points)

@@ -68,6 +68,7 @@ from repro.curves.point import (
     to_affine,
     xyzz_add,
 )
+from repro.msm.generic import bucket_reduce, xyzz_group
 
 __all__ = [
     "RHO_BITS",
@@ -194,14 +195,13 @@ def chunk_value(partials: list, curve: CurveParams) -> XyzzPoint:
 
     The exact functional the host's accumulation consumes: the same
     2-PADD-per-bucket suffix-sum fold as :func:`repro.core.bucket_reduce
-    .cpu_bucket_reduce`, summed over the chunk's assignment slots.
+    .cpu_bucket_reduce` (:func:`repro.msm.generic.bucket_reduce`), summed
+    over the chunk's assignment slots.
     """
-    total = XyzzPoint.identity()
+    ops = xyzz_group(curve)
+    total = ops.identity
     for sums in partials:
-        running = XyzzPoint.identity()
-        for b in range(len(sums) - 1, 0, -1):
-            running = xyzz_add(running, sums[b], curve)
-            total = xyzz_add(total, running, curve)
+        total = ops.add(total, bucket_reduce(sums, ops))
     return total
 
 

@@ -3,128 +3,20 @@
 The four phases match Figure 2 of the paper:
 
 1. *bucket-scatter*: group point indices by their s-bit window digit;
-2. *bucket-sum*: accumulate the points of each bucket (PACC operations);
+2. *bucket-sum*: accumulate the points of each bucket;
 3. *bucket-reduce*: combine buckets as ``sum(i * B_i)`` using the running
-   suffix-sum trick (2·(2^s − 1) PADDs, no multiplications);
+   suffix-sum trick (2·(B − 1) PADDs, no multiplications);
 4. *window-reduce*: fold window results with s doublings between windows.
 
-The implementation also records a :class:`PippengerStats` of group-operation
-counts; the GPU cost models are validated against these counts on small
-inputs.
+All four run in :func:`repro.msm.generic.pippenger_generic`; this module
+binds it to a curve's G1 in XYZZ coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.curves.params import CurveParams
-from repro.curves.point import (
-    AffinePoint,
-    XyzzPoint,
-    affine_neg,
-    pdbl,
-    to_affine,
-    xyzz_acc,
-    xyzz_add,
-)
-from repro.curves.scalar import num_windows, signed_windows, unsigned_windows
-
-
-@dataclass
-class PippengerStats:
-    """Group-operation tallies per Pippenger phase."""
-
-    pacc: int = 0
-    padd: int = 0
-    pdbl: int = 0
-    buckets_touched: int = 0
-    windows: int = 0
-    window_size: int = 0
-
-    @property
-    def total_ec_ops(self) -> int:
-        return self.pacc + self.padd + self.pdbl
-
-
-def default_window_size(n: int) -> int:
-    """A serviceable single-threaded window size: ``~log2(N) - 3``.
-
-    Matches the classic analysis minimising ``(λ/s)(N + 2^s)``.
-    """
-    if n <= 0:
-        return 1
-    return max(1, n.bit_length() - 3)
-
-
-def scatter(
-    digits_per_window: list[list[int]],
-    num_buckets: int,
-) -> list[list[list[int]]]:
-    """Reference bucket scatter: per window, bucket id -> list of point ids.
-
-    Bucket 0 (digit 0) is never materialised — multiplying by zero
-    contributes nothing.
-    """
-    scattered = []
-    for digits in digits_per_window:
-        buckets: list[list[int]] = [[] for _ in range(num_buckets)]
-        for point_id, digit in enumerate(digits):
-            if digit != 0:
-                buckets[digit].append(point_id)
-        scattered.append(buckets)
-    return scattered
-
-
-def bucket_sum(
-    buckets: list[list[int]],
-    points: list[AffinePoint],
-    curve: CurveParams,
-    stats: PippengerStats,
-) -> list[XyzzPoint]:
-    """Accumulate each bucket's points with PACC operations."""
-    sums = []
-    for members in buckets:
-        acc = XyzzPoint.identity()
-        for point_id in members:
-            acc = xyzz_acc(acc, points[point_id], curve)
-            stats.pacc += 1
-        if members:
-            stats.buckets_touched += 1
-        sums.append(acc)
-    return sums
-
-
-def bucket_reduce(bucket_sums: list[XyzzPoint], curve: CurveParams, stats: PippengerStats) -> XyzzPoint:
-    """Compute ``sum(i * B_i)`` with the running suffix-sum trick.
-
-    ``running`` accumulates ``B_max + ... + B_i`` while ``total`` accumulates
-    the weighted sum; 2 PADDs per bucket, no scalar multiplications.
-    Index 0 is skipped (its weight is zero).
-    """
-    running = XyzzPoint.identity()
-    total = XyzzPoint.identity()
-    for b in range(len(bucket_sums) - 1, 0, -1):
-        running = xyzz_add(running, bucket_sums[b], curve)
-        total = xyzz_add(total, running, curve)
-        stats.padd += 2
-    return total
-
-
-def window_reduce(
-    window_results: list[XyzzPoint],
-    window_size: int,
-    curve: CurveParams,
-    stats: PippengerStats,
-) -> XyzzPoint:
-    """Fold window results most-significant first: s doublings per window."""
-    acc = XyzzPoint.identity()
-    for result in reversed(window_results):
-        for _ in range(window_size):
-            acc = pdbl(acc, curve)
-            stats.pdbl += 1
-        acc = xyzz_add(acc, result, curve)
-        stats.padd += 1
-    return acc
+from repro.curves.point import AffinePoint, XyzzPoint, to_affine
+from repro.msm.generic import pippenger_generic, xyzz_group
 
 
 def pippenger_msm(
@@ -132,62 +24,20 @@ def pippenger_msm(
     points: list[AffinePoint],
     curve: CurveParams,
     window_size: int | None = None,
-    signed: bool = False,
-    stats: PippengerStats | None = None,
 ) -> AffinePoint:
-    """Serial Pippenger MSM.
+    """Serial signed-digit Pippenger MSM over ``curve``'s G1.
 
-    Parameters
-    ----------
-    window_size:
-        Window width ``s``; defaults to the classic ``log2(N) - 3`` heuristic.
-    signed:
-        Use signed-digit recoding, halving the bucket count (negative digits
-        accumulate the negated point into bucket ``|d|``).
-    stats:
-        Optional tally of group operations, filled in place.
+    The bases are lifted to XYZZ once (``zz = zzz = 1``, so a bucket add
+    costs what a PACC does) and the sum is returned in affine form.
+    ``window_size=None`` picks :func:`~repro.msm.generic.msm_window`;
+    windows below 2 and scalars wider than ``curve.scalar_bits`` raise
+    :class:`ValueError`.
     """
-    if len(scalars) != len(points):
-        raise ValueError(f"length mismatch: {len(scalars)} scalars, {len(points)} points")
-    if stats is None:
-        stats = PippengerStats()
-    if not scalars:
-        return AffinePoint.identity()
-
-    s = window_size if window_size is not None else default_window_size(len(scalars))
-    if s < 1:
-        raise ValueError(f"window size must be >= 1, got {s}")
-    lam = curve.scalar_bits
-    n_win = num_windows(lam, s)
-    stats.windows = n_win + (1 if signed else 0)
-    stats.window_size = s
-
-    if signed:
-        digit_rows = [signed_windows(k, s, n_win) for k in scalars]
-        n_win += 1  # carry window
-        num_buckets = (1 << (s - 1)) + 1
-    else:
-        digit_rows = [unsigned_windows(k, s, n_win) for k in scalars]
-        num_buckets = 1 << s
-
-    window_results = []
-    for w in range(n_win):
-        buckets: list[list[AffinePoint]] = [[] for _ in range(num_buckets)]
-        for point_id, digits in enumerate(digit_rows):
-            digit = digits[w]
-            if digit > 0:
-                buckets[digit].append(points[point_id])
-            elif digit < 0:
-                buckets[-digit].append(affine_neg(points[point_id], curve))
-        sums = []
-        for members in buckets:
-            acc = XyzzPoint.identity()
-            for pt in members:
-                acc = xyzz_acc(acc, pt, curve)
-                stats.pacc += 1
-            if members:
-                stats.buckets_touched += 1
-            sums.append(acc)
-        window_results.append(bucket_reduce(sums, curve, stats))
-
-    return to_affine(window_reduce(window_results, s, curve, stats), curve)
+    total = pippenger_generic(
+        scalars,
+        [XyzzPoint.from_affine(pt) for pt in points],
+        xyzz_group(curve),
+        curve.scalar_bits,
+        window_size,
+    )
+    return to_affine(total, curve)

@@ -8,6 +8,8 @@ bucket-sum followed by one bucket-reduce, no window-reduce doublings.
 
 The point vector being constant across proofs (§2.2) is what makes the table
 reusable; its cost is amortised, so the evaluation treats it as offline.
+The tables feed the DistMSM engine's ``precompute=True`` path
+(:mod:`repro.core.backends`) through :class:`PrecomputeTableCache`.
 """
 
 from __future__ import annotations
@@ -16,17 +18,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.curves.params import CurveParams
-from repro.curves.point import (
-    AffinePoint,
-    XyzzPoint,
-    affine_neg,
-    pdbl,
-    to_affine,
-    xyzz_acc,
-)
+from repro.curves.point import AffinePoint, XyzzPoint, pdbl
 from repro.curves.sampling import batch_to_affine
-from repro.curves.scalar import num_windows, signed_windows, unsigned_windows
-from repro.msm.pippenger import PippengerStats, bucket_reduce
 
 
 def precompute_tables(
@@ -148,54 +141,3 @@ def cached_precompute_tables(
     """:func:`precompute_tables` through the process-wide LRU cache."""
     return _DEFAULT_CACHE.tables_for(points, curve, window_size, windows)
 
-
-def msm_with_precompute(
-    scalars: list[int],
-    tables: list[list[AffinePoint]],
-    curve: CurveParams,
-    window_size: int,
-    signed: bool = False,
-    stats: PippengerStats | None = None,
-) -> AffinePoint:
-    """MSM over precomputed tables: one collapsed window (§2.3.1).
-
-    ``tables`` must come from :func:`precompute_tables` with at least as many
-    windows as the scalars need (one extra for ``signed=True``).
-    """
-    if stats is None:
-        stats = PippengerStats()
-    if not scalars:
-        return AffinePoint.identity()
-    lam = curve.scalar_bits
-    n_win = num_windows(lam, window_size)
-    needed = n_win + (1 if signed else 0)
-    if len(tables) < needed:
-        raise ValueError(f"need {needed} precomputed windows, got {len(tables)}")
-
-    if signed:
-        num_buckets = (1 << (window_size - 1)) + 1
-        digit_rows = [signed_windows(k, window_size, n_win) for k in scalars]
-        total_windows = n_win + 1
-    else:
-        num_buckets = 1 << window_size
-        digit_rows = [unsigned_windows(k, window_size, n_win) for k in scalars]
-        total_windows = n_win
-
-    stats.windows = 1
-    stats.window_size = window_size
-
-    buckets: list[XyzzPoint] = [XyzzPoint.identity() for _ in range(num_buckets)]
-    touched = [False] * num_buckets
-    for point_id, digits in enumerate(digit_rows):
-        for w in range(total_windows):
-            digit = digits[w]
-            if digit == 0:
-                continue
-            shifted = tables[w][point_id]
-            if digit < 0:
-                shifted = affine_neg(shifted, curve)
-            buckets[abs(digit)] = xyzz_acc(buckets[abs(digit)], shifted, curve)
-            stats.pacc += 1
-            touched[abs(digit)] = True
-    stats.buckets_touched = sum(touched)
-    return to_affine(bucket_reduce(buckets, curve, stats), curve)

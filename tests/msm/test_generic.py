@@ -5,8 +5,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.msm.generic import GroupOps, g2_msm, pippenger_generic
+from repro.msm.generic import GroupOps, pippenger_generic
 from repro.zksnark import pairing as pr
+from repro.zksnark.backend import backend_by_name
+
+g2_msm = backend_by_name("BN254").g2_msm
 
 
 def int_group(modulus: int) -> GroupOps:

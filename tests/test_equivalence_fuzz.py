@@ -1,10 +1,10 @@
 """Cross-implementation fuzzing: every MSM path must agree, always.
 
 One hypothesis-driven suite that throws randomly shaped instances at every
-MSM implementation in the repository — serial Pippenger (both recodings),
-precomputation, batched-affine, the DistMSM engine under random
-configurations, and the baselines — and insists they all equal the naive
-reference.  This is the repository's strongest single invariant.
+MSM implementation in the repository — serial Pippenger, the DistMSM
+engine under random configurations (precomputation and the batched-affine
+bucket sum included), and the baselines — and insists they all equal the
+naive reference.  This is the repository's strongest single invariant.
 """
 
 import pytest
@@ -12,12 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.config import DistMsmConfig
 from repro.core.distmsm import DistMsm
+from repro.curves.point import AffinePoint, affine_neg
 from repro.curves.sampling import sample_points
 from repro.gpu.cluster import MultiGpuSystem
-from repro.msm.batch_affine import msm_batch_affine
 from repro.msm.naive import naive_msm
 from repro.msm.pippenger import pippenger_msm
-from repro.msm.precompute import msm_with_precompute, precompute_tables
 
 from tests.conftest import TOY_CURVE
 
@@ -40,33 +39,27 @@ def _make_instance(n, seed):
     return scalars, points
 
 
-@given(instance, st.integers(2, 6), st.booleans())
+# bases and scalars that hit the bucket method's special cases: the
+# identity, a point next to its negation, and the scalars 0, 1 and r - 1
+EDGE_POINTS = [AffinePoint.identity(), POINTS[0], affine_neg(POINTS[0], TOY_CURVE)]
+EDGE_SCALARS = [0, 1, TOY_CURVE.r - 1]
+
+
+@given(
+    instance,
+    st.integers(2, 8),
+    st.lists(
+        st.tuples(st.sampled_from(EDGE_SCALARS), st.sampled_from(EDGE_POINTS)),
+        max_size=4,
+    ),
+)
 @settings(max_examples=40, deadline=None)
-def test_pippenger_always_matches_naive(inst, window, signed):
+def test_pippenger_always_matches_naive(inst, window, edges):
     scalars, points = _make_instance(*inst)
+    scalars += [k for k, _ in edges]
+    points += [pt for _, pt in edges]
     expected = naive_msm(scalars, points, TOY_CURVE)
-    assert pippenger_msm(scalars, points, TOY_CURVE, window, signed) == expected
-
-
-@given(instance, st.integers(2, 5))
-@settings(max_examples=20, deadline=None)
-def test_batch_affine_always_matches_naive(inst, window):
-    scalars, points = _make_instance(*inst)
-    expected = naive_msm(scalars, points, TOY_CURVE)
-    assert msm_batch_affine(scalars, points, TOY_CURVE, window) == expected
-
-
-@given(instance, st.integers(2, 5), st.booleans())
-@settings(max_examples=12, deadline=None)
-def test_precompute_always_matches_naive(inst, window, signed):
-    scalars, points = _make_instance(*inst)
-    expected = naive_msm(scalars, points, TOY_CURVE)
-    from repro.curves.scalar import num_windows
-
-    windows = num_windows(TOY_CURVE.scalar_bits, window) + 1
-    tables = precompute_tables(points, TOY_CURVE, window, windows)
-    got = msm_with_precompute(scalars, tables, TOY_CURVE, window, signed)
-    assert got == expected
+    assert pippenger_msm(scalars, points, TOY_CURVE, window) == expected
 
 
 engine_config = st.builds(

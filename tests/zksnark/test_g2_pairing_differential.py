@@ -11,7 +11,7 @@ large cofactors).
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.curves.params import curve_by_name
 from repro.curves.point import AffinePoint, pmul
@@ -226,14 +226,15 @@ class TestMsmWindow:
         assert msm_window(99, 254) == 6
 
     @given(st.integers(1, 1 << 20), st.integers(1, 400))
+    @example(1 << 20, 255)  # the minimum is s = 17, past the old bound of 16
     @settings(max_examples=50, deadline=None)
     def test_minimises_add_count(self, n, bits):
         def adds(s):
             return -(-bits // s) * (n + (1 << (s - 1)))
 
         s = msm_window(n, bits)
-        assert 2 <= s <= 16
-        assert all(adds(s) <= adds(t) for t in range(2, 17))
+        assert 2 <= s <= max(2, bits)
+        assert all(adds(s) <= adds(t) for t in range(2, max(2, bits) + 1))
 
     @given(st.lists(st.integers(0, (1 << 64) - 1), min_size=1, max_size=30))
     @settings(max_examples=30, deadline=None)
