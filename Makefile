@@ -49,7 +49,7 @@ bench-smoke:
 	@$(PYTHON) benchmarks/bench_vectorized.py --smoke
 	@echo "== Groth16 G2 + pairing arithmetic vs frozen smoke benchmark"
 	@$(PYTHON) benchmarks/bench_groth16.py --smoke
-	@echo "== src/ size and unimported modules (context, not gated)"
+	@echo "== src/ size and unimported modules (fails if any module is unimported)"
 	@$(PYTHON) benchmarks/bench_src_lines.py
 
 bench-compare:

@@ -14,7 +14,12 @@ Writes ``results/BENCH_src.json`` with
   package re-exports it from.  Packages and ``__main__`` modules are entry
   points and are not listed.
 
-The record is context for the size of the code base, not a gate.
+``src_lines`` is context for the size of the code base, not a gate.
+``unimported`` is a gate: the script exits 1 when any module is listed,
+so ``make bench-smoke`` (and ``make ci``) fail when a module that only
+its own tests import comes back.  Join such a module to a production
+path, or delete it with its tests (keep test-only helpers under
+``tests/support/``).
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import ast
 import json
 import pathlib
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -101,4 +107,7 @@ def main() -> dict:
 
 
 if __name__ == "__main__":
-    main()
+    unimported = main()["unimported"]
+    if unimported:
+        print(f"FAIL: src/ modules only tests import: {', '.join(sorted(unimported))}")
+        sys.exit(1)

@@ -2,14 +2,14 @@
 
 `DistMsm._orchestrate` runs ONE pipeline body — plan, per-assignment
 scatter + bucket-sum, per-window combine + reduce, final window reduce —
-parameterised only by a :class:`Backend`:
+for fault-free, faulted and verified runs alike, parameterised only by a
+:class:`Backend`:
 
 * :class:`FunctionalBackend` executes every step against the simulated
-  GPUs (bit-exact MSM result, measured event counts) — the old
-  ``DistMsm.execute`` path;
+  GPUs (bit-exact MSM result, measured event counts) — ``DistMsm.execute``;
 * :class:`AnalyticBackend` fills the same event counters from closed-form
-  expectations so paper-scale inputs evaluate instantly — the old
-  ``DistMsm.estimate`` path.
+  expectations so paper-scale inputs evaluate instantly —
+  ``DistMsm.estimate``.
 
 Both feed identical work summaries into the shared timing model and the
 event-driven timeline, which is the point: there is exactly one
@@ -47,8 +47,11 @@ class Backend(Protocol):
     ``prepare``/``prepare_precompute`` set up the digit stream and return
     its length; ``run_assignment`` performs (or counts) one assignment's
     scatter + bucket-sum; the remaining methods cover the per-window
-    combine/reduce and the final window fold.  Functional backends return
-    real points where analytic ones return ``None``.
+    combine/reduce and the final window fold.  ``reduce_window`` returns
+    the host bucket-reduce's counts with the value; the orchestration
+    charges them to the CPU, or discards them and charges the GPUs when
+    they reduce.  Functional backends return real points where analytic
+    ones return ``None``.
     """
 
     functional: bool
@@ -68,11 +71,9 @@ class Backend(Protocol):
         buckets_total: int,
     ) -> tuple[list[XyzzPoint] | None, int]: ...
 
-    def cpu_reduce_window(
+    def reduce_window(
         self, combined: list[XyzzPoint] | None, buckets_total: int
     ) -> tuple[EventCounters, XyzzPoint | None]: ...
-
-    def reduce_value(self, combined: list[XyzzPoint] | None) -> XyzzPoint | None: ...
 
     def window_reduce(
         self, window_results: list[XyzzPoint | None]
@@ -305,17 +306,12 @@ class FunctionalBackend:
                     merge_padds += 1
         return combined, merge_padds
 
-    def cpu_reduce_window(
+    def reduce_window(
         self, combined: list[XyzzPoint] | None, buckets_total: int
     ) -> tuple[EventCounters, XyzzPoint]:
         assert combined is not None
         reduced = cpu_bucket_reduce(combined, self.curve)
         return reduced.counters, reduced.result
-
-    def reduce_value(self, combined: list[XyzzPoint] | None) -> XyzzPoint:
-        """GPU-reduce configs: same math, counters charged to the GPUs."""
-        assert combined is not None
-        return cpu_bucket_reduce(combined, self.curve).result
 
     def window_reduce(
         self, window_results: list[XyzzPoint | None]
@@ -389,13 +385,10 @@ class AnalyticBackend:
                 merge_padds = len(owners) - 1
         return None, merge_padds
 
-    def cpu_reduce_window(
+    def reduce_window(
         self, combined: list[XyzzPoint] | None, buckets_total: int
     ) -> tuple[EventCounters, None]:
         return cpu_bucket_reduce_counts(buckets_total), None
-
-    def reduce_value(self, combined: list[XyzzPoint] | None) -> None:
-        return None
 
     def window_reduce(
         self, window_results: list[XyzzPoint | None]

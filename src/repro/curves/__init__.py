@@ -20,7 +20,6 @@ from repro.curves.params import (
     curve_by_name,
     list_curves,
 )
-from repro.curves.jacobian import JacobianPoint, jacobian_add, jacobian_pmul
 from repro.curves.point import (
     AffinePoint,
     XyzzPoint,
@@ -42,9 +41,6 @@ __all__ = [
     "list_curves",
     "AffinePoint",
     "XyzzPoint",
-    "JacobianPoint",
-    "jacobian_add",
-    "jacobian_pmul",
     "pdbl",
     "pmul",
     "pmul_wnaf",

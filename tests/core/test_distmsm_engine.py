@@ -214,3 +214,52 @@ class TestEstimator:
         t_mnt = DistMsm(MultiGpuSystem(8)).estimate(mnt, n).time_ms
         t_bn = DistMsm(MultiGpuSystem(8)).estimate(BN254, n).time_ms
         assert t_mnt > 10 * t_bn
+
+
+class TestGpuReduceCharge:
+    """The two GPU bucket-reduce charge rules (``bucket_reduce_on_cpu=False``).
+
+    Window size 4 on the toy curve gives 3 windows; bucket-split spreads
+    them over 4 GPUs, so GPU 0 owns 0.75 of window 0's buckets and GPU 1
+    the other 0.25.  A fault-free run splits each window's reduce evenly
+    over its owner GPUs (GPU 0 pays 1/2 of window 0); the chunk path that
+    fault recovery and verification run charges each chunk by its bucket
+    share (GPU 0 pays 3/4).  The rules differ on purpose; these figures
+    pin both so neither drifts into the other.
+    """
+
+    CFG = dict(window_size=4, bucket_reduce_on_cpu=False, **FAST_SCATTER)
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        return msm_instance(TOY_CURVE, 32, seed=41)
+
+    def run(self, instance, **extra):
+        engine = DistMsm(MultiGpuSystem(4), DistMsmConfig(**self.CFG, **extra))
+        executed = engine.execute(*instance, TOY_CURVE)
+        estimated = engine.estimate(TOY_CURVE, len(instance[0]))
+        assert [(a.gpu, a.window, a.bucket_share) for a in executed.plan.assignments] == [
+            (0, 0, 0.75), (1, 0, 0.25), (1, 1, 0.5),
+            (2, 1, 0.5), (2, 2, 0.25), (3, 2, 0.75),
+        ]
+        return executed, estimated
+
+    def test_fault_free_splits_evenly_over_owners(self, instance):
+        executed, estimated = self.run(instance)
+        expected = [
+            0.002722489871986067, 0.0027224981113190736,
+            0.0027224981113190736, 0.002722489871986067,
+        ]
+        for result in (executed, estimated):
+            assert result.fault_report is None
+            assert [g.reduce for g in result.breakdown.per_gpu] == expected
+
+    def test_chunk_path_charges_bucket_share(self, instance):
+        executed, estimated = self.run(instance, verify_chunks=True)
+        expected = [
+            0.0040837348079791, 0.002041873583489305,
+            0.002041873583489305, 0.0040837348079791,
+        ]
+        for result in (executed, estimated):
+            assert result.fault_report is not None
+            assert [g.reduce for g in result.breakdown.per_gpu] == expected

@@ -1,107 +1,14 @@
-"""Jacobian coordinates and wNAF recoding — cross-validated against XYZZ."""
-
-import random
+"""wNAF recoding and the wNAF / ladder scalar muls — cross-validated
+against double-and-add."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.curves.jacobian import (
-    JacobianPoint,
-    jacobian_add,
-    jacobian_double,
-    jacobian_mixed_add,
-    jacobian_pmul,
-    jacobian_to_affine,
-)
 from repro.curves.point import AffinePoint, pmul, pmul_wnaf
 from repro.curves.sampling import sample_points
 from repro.curves.scalar import wnaf, wnaf_density
 
 from tests.conftest import TOY_CURVE
-
-
-@pytest.fixture(scope="module")
-def pts():
-    return sample_points(TOY_CURVE, 12, seed=77)
-
-
-class TestJacobian:
-    def test_identity_round_trip(self):
-        assert jacobian_to_affine(JacobianPoint.identity(), TOY_CURVE).infinity
-
-    def test_affine_round_trip(self, pts):
-        j = JacobianPoint.from_affine(pts[0])
-        assert jacobian_to_affine(j, TOY_CURVE) == pts[0]
-
-    def test_add_matches_xyzz(self, pts):
-        """The load-bearing cross-check between the two coordinate systems."""
-        from repro.curves.point import XyzzPoint, to_affine, xyzz_add
-
-        for i in range(len(pts) - 1):
-            a, b = pts[i], pts[i + 1]
-            via_jac = jacobian_to_affine(
-                jacobian_add(
-                    JacobianPoint.from_affine(a),
-                    JacobianPoint.from_affine(b),
-                    TOY_CURVE,
-                ),
-                TOY_CURVE,
-            )
-            via_xyzz = to_affine(
-                xyzz_add(
-                    XyzzPoint.from_affine(a), XyzzPoint.from_affine(b), TOY_CURVE
-                ),
-                TOY_CURVE,
-            )
-            assert via_jac == via_xyzz
-
-    def test_double_matches_add(self, pts):
-        j = JacobianPoint.from_affine(pts[3])
-        via_dbl = jacobian_to_affine(jacobian_double(j, TOY_CURVE), TOY_CURVE)
-        via_add = jacobian_to_affine(jacobian_add(j, j, TOY_CURVE), TOY_CURVE)
-        assert via_dbl == via_add
-
-    def test_mixed_add_matches_general(self, pts):
-        acc = jacobian_double(JacobianPoint.from_affine(pts[0]), TOY_CURVE)
-        via_mixed = jacobian_to_affine(
-            jacobian_mixed_add(acc, pts[1], TOY_CURVE), TOY_CURVE
-        )
-        via_general = jacobian_to_affine(
-            jacobian_add(acc, JacobianPoint.from_affine(pts[1]), TOY_CURVE),
-            TOY_CURVE,
-        )
-        assert via_mixed == via_general
-
-    def test_inverse_pair_gives_identity(self, pts):
-        from repro.curves.point import affine_neg
-
-        a = JacobianPoint.from_affine(pts[2])
-        b = JacobianPoint.from_affine(affine_neg(pts[2], TOY_CURVE))
-        assert jacobian_add(a, b, TOY_CURVE).is_identity
-        assert jacobian_mixed_add(a, affine_neg(pts[2], TOY_CURVE), TOY_CURVE).is_identity
-
-    def test_identity_operands(self, pts):
-        j = JacobianPoint.from_affine(pts[0])
-        assert jacobian_add(JacobianPoint.identity(), j, TOY_CURVE) == j
-        assert jacobian_add(j, JacobianPoint.identity(), TOY_CURVE) == j
-        assert jacobian_mixed_add(j, AffinePoint.identity(), TOY_CURVE) == j
-
-    @given(st.integers(0, 5000))
-    @settings(max_examples=30, deadline=None)
-    def test_pmul_matches_xyzz_pmul(self, k):
-        pts = sample_points(TOY_CURVE, 1, seed=5)
-        assert jacobian_pmul(pts[0], k, TOY_CURVE) == pmul(pts[0], k, TOY_CURVE)
-
-    def test_negative_scalar(self, pts):
-        assert jacobian_pmul(pts[0], -7, TOY_CURVE) == pmul(pts[0], -7, TOY_CURVE)
-
-    def test_order_two_point_doubles_to_identity(self):
-        # y == 0 points have order two; synthesise via the curve registry
-        for x in range(TOY_CURVE.p):
-            if (x**3 + TOY_CURVE.a * x + TOY_CURVE.b) % TOY_CURVE.p == 0:
-                pt = JacobianPoint(x, 0, 1)
-                assert jacobian_double(pt, TOY_CURVE).is_identity
-                return
 
 
 class TestWnaf:

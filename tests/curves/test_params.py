@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.curves.numtheory import is_probable_prime
 from repro.curves.params import curve_by_name, list_curves
 from repro.curves.point import AffinePoint, pmul
+
+from tests.support.numtheory import is_probable_prime
 
 
 class TestRegistry:

@@ -10,7 +10,6 @@ from repro.gpu.specs import (
     RTX_4090,
     spec_by_name,
 )
-from repro.gpu.tensor_core import mma_tile_ops, tc_advantage, tc_available
 from repro.gpu.timing import occupancy_efficiency
 
 
@@ -20,15 +19,15 @@ class TestSpecs:
         assert NVIDIA_A100.tc_int8_tops == 624.0
         # paper: "624 TOPS, equivalent to 156 int32 TOPS ... 8x"
         assert NVIDIA_A100.tc_int32_equiv_tops == 156.0
-        assert tc_advantage(NVIDIA_A100) == pytest.approx(8.0)
+        assert NVIDIA_A100.tc_int32_equiv_tops / NVIDIA_A100.int32_tops == pytest.approx(8.0)
 
     def test_rtx4090_int_advantage(self):
         # paper: RTX4090 delivers 2.12x the A100's CUDA int throughput
         assert RTX_4090.int32_tops / NVIDIA_A100.int32_tops == pytest.approx(2.12, rel=0.01)
 
     def test_amd_has_no_usable_tc(self):
-        assert not tc_available(AMD_6900XT)
-        assert tc_advantage(AMD_6900XT) == 0.0
+        assert AMD_6900XT.tc_int8_tops == 0
+        assert AMD_6900XT.tc_int32_equiv_tops == 0
         assert AMD_6900XT.platform == "hip"
 
     def test_concurrent_threads(self):
@@ -43,9 +42,6 @@ class TestSpecs:
         assert spec_by_name("6900") is AMD_6900XT
         with pytest.raises(KeyError):
             spec_by_name("H100")
-
-    def test_mma_tile(self):
-        assert mma_tile_ops() == 16 * 8 * 32
 
 
 class TestOccupancy:

@@ -1,10 +1,12 @@
 """Chrome trace-event export: format, determinism, golden-trace regression.
 
 The golden files under ``tests/observe/golden/`` are committed canonical
-exports of a 2-GPU MSM estimate and a 3-request serve run; the tests
-assert the export reproduces them *byte for byte* (sorted keys, Python's
-deterministic float repr), so any change to the trace schema or to the
-recorded schedules is a visible diff, not a silent drift.
+exports of a 2-GPU MSM estimate, a 3-request serve run and a recovered
+4-GPU MSM estimate (a GPU death, a transfer error and a Byzantine worker:
+two rounds, one rejected chunk); the tests assert the export reproduces
+them *byte for byte* (sorted keys, Python's deterministic float repr), so
+any change to the trace schema, the recorded schedules or the recovery
+and verification reports is a visible diff, not a silent drift.
 """
 
 import json
@@ -13,6 +15,7 @@ from pathlib import Path
 from repro.core.config import DistMsmConfig
 from repro.core.distmsm import DistMsm
 from repro.curves.params import curve_by_name
+from repro.engine.faults import ByzantineWorker, FaultPlan, GpuFailure, TransferError
 from repro.gpu.cluster import MultiGpuSystem
 from repro.observe import Tracer, to_chrome_trace
 
@@ -27,6 +30,36 @@ def build_msm_trace() -> Tracer:
         curve, 1 << 16, trace=trace
     )
     return trace
+
+
+def build_recovered_msm_doc() -> str:
+    """The canonical traced, recovered 4-GPU MSM estimate as one document.
+
+    GPU 1 dies at 0.5 ms, node 0's first transfer fails once and GPU 2
+    forges its results: two recovery rounds and one rejected chunk.  The
+    document holds the Chrome trace and both reports' JSON exports.
+    """
+    curve = curve_by_name("BLS12-381")
+    trace = Tracer("golden-msm-recovered-4gpu")
+    faults = FaultPlan.of(GpuFailure(0.5, 1), TransferError(0, 0.0), ByzantineWorker(2))
+    result = DistMsm(MultiGpuSystem(4), DistMsmConfig(window_size=10)).estimate(
+        curve, 1 << 16, faults=faults, trace=trace
+    )
+    assert len(result.fault_report.rounds) == 2
+    assert result.byzantine_report.rejected == 1
+    doc = {
+        "chrome_trace": json.loads(trace.to_chrome_json()),
+        "fault_report": json.loads(result.fault_report.to_json()),
+        "byzantine_report": json.loads(result.byzantine_report.to_json()),
+    }
+    # each part's own export must be what the document round-trips to
+    assert json.dumps(doc["chrome_trace"], sort_keys=True) == trace.to_chrome_json()
+    for key, report in (
+        ("fault_report", result.fault_report),
+        ("byzantine_report", result.byzantine_report),
+    ):
+        assert json.dumps(doc[key], sort_keys=True) == report.to_json()
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def build_serve_trace() -> Tracer:
@@ -96,9 +129,15 @@ class TestGoldenTraces:
         golden = (GOLDEN_DIR / "serve_3req.json").read_text()
         assert build_serve_trace().to_chrome_json(indent=2) + "\n" == golden
 
+    def test_recovered_msm_golden_byte_stable(self):
+        golden = (GOLDEN_DIR / "msm_recovered_4gpu.json").read_text()
+        assert build_recovered_msm_doc() == golden
+
     def test_goldens_are_valid_chrome_traces(self):
-        for name in ("msm_2gpu.json", "serve_3req.json"):
-            doc = json.loads((GOLDEN_DIR / name).read_text())
+        recovered = json.loads((GOLDEN_DIR / "msm_recovered_4gpu.json").read_text())
+        docs = [json.loads((GOLDEN_DIR / name).read_text())
+                for name in ("msm_2gpu.json", "serve_3req.json")]
+        for doc in docs + [recovered["chrome_trace"]]:
             assert "traceEvents" in doc
             for event in doc["traceEvents"]:
                 assert event["ph"] in {"M", "X", "i", "C"}
