@@ -26,8 +26,12 @@ writes machine-readable records for the CI regression gate
 
 * ``results/BENCH_engine.json`` — ``engine.simulate`` against the frozen
   pre-rewrite loop (``tests.support.reference_simulate``), the 10^6-task
-  wall time against its 10 s budget, and the O(1)-vs-O(failures)
-  audit-lookup comparison (``Timeline.failure_for`` / ``attempts_for``).
+  wall time against its 10 s budget, the O(1)-vs-O(failures)
+  audit-lookup comparison (``Timeline.failure_for`` / ``attempts_for``),
+  and ``DistMsm.estimate`` (BLS12-381, 2^20 points, 4 GPUs, window 12) on
+  the memoised cost model against the frozen uncached one
+  (``tests.support.frozen_cost_model``), min-of-N per call, asserted to
+  give the same time, phase times and counters.
 
 GC note: the timed sections run with the collector disabled (recorded as
 ``"gc_disabled": true``) — at 10^6 tasks collector pauses add ~40% of
@@ -66,11 +70,14 @@ RESULTS_DIR = ROOT / "results"
 # the frozen reference loops are test-support code at the repository root
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
+from tests.support.frozen_cost_model import frozen_cost_model  # noqa: E402
 from tests.support.frozen_msm import frozen_kernels  # noqa: E402
 from tests.support.reference_simulate import reference_simulate  # noqa: E402
 
 NUM_GPUS = 4
 TOY_WINDOW = 6
+#: estimate calls per cost-model timing; the fastest call is reported
+ESTIMATE_REPEATS = 50
 #: acceptance budgets the CI gate holds this machine to
 MSM_2POW20_BUDGET_S = 60.0
 SIMULATE_1M_BUDGET_S = 10.0
@@ -89,6 +96,15 @@ def _timed(fn, *args):
         if gc_was_on:
             gc.enable()
     return elapsed, out
+
+
+def _min_timed(fn, repeats, *args):
+    """(fastest of ``repeats`` calls in seconds, last result), GC off."""
+    best, out = float("inf"), None
+    for _ in range(repeats):
+        elapsed, out = _timed(fn, *args)
+        best = min(best, elapsed)
+    return best, out
 
 
 # -- MSM backend ---------------------------------------------------------------
@@ -357,6 +373,30 @@ def bench_engine(smoke: bool) -> dict:
         "linear_scan_s": round(t_linear, 4),
         "audit_speedup": round(t_linear / t_index, 1),
     }
+
+    # the analytic cost model: memoised per-kernel figures vs uncached
+    engine = DistMsm(MultiGpuSystem(num_gpus=NUM_GPUS), DistMsmConfig(window_size=12))
+    bls = curve_by_name("BLS12-381")
+    n_points = 1 << 20
+    engine.estimate(bls, n_points)  # warm the per-process caches
+    t_live, live = _min_timed(engine.estimate, ESTIMATE_REPEATS, bls, n_points)
+    with frozen_cost_model():
+        t_frozen, frozen = _min_timed(engine.estimate, ESTIMATE_REPEATS, bls, n_points)
+    assert (live.time_ms, live.times, live.counters) == (
+        frozen.time_ms,
+        frozen.times,
+        frozen.counters,
+    ), "memoised cost model diverges from the frozen uncached model"
+    payload["cost_model"] = {
+        "curve": bls.name,
+        "log2_points": 20,
+        "num_gpus": NUM_GPUS,
+        "window_size": 12,
+        "repeats": ESTIMATE_REPEATS,
+        "frozen_ms": round(t_frozen * 1e3, 3),
+        "live_ms": round(t_live * 1e3, 3),
+        "estimate_speedup": round(t_frozen / t_live, 2),
+    }
     return payload
 
 
@@ -387,12 +427,15 @@ def _print_summary(msm: dict, eng: dict) -> None:
     sim = eng["simulate"]
     big = eng["large_run"]
     audit = eng["audit_lookup"]
+    cost = eng["cost_model"]
     print(
         f"engine: simulate {sim['tasks']} tasks "
         f"{sim['reference_s']:.2f}s -> {sim['new_s']:.2f}s "
         f"({sim['simulate_speedup']:.2f}x); {big['tasks']} tasks in "
         f"{big['wall_s']:.2f}s (budget {big['budget_s']:.1f}s); audit "
-        f"lookups {audit['audit_speedup']:.0f}x"
+        f"lookups {audit['audit_speedup']:.0f}x; estimate "
+        f"{cost['frozen_ms']:.2f}ms -> {cost['live_ms']:.2f}ms "
+        f"({cost['estimate_speedup']:.1f}x)"
     )
 
 

@@ -6,11 +6,18 @@ occupancy from the CUDA rules — with four calibration constants
 (`repro.gpu.specs`): occupancy saturation, register-cap spill penalty,
 sustained-efficiency, and the HIP platform factor.  EXPERIMENTS.md records
 how the calibrated model compares against every published number.
+
+The per-kernel figures (:func:`ec_op_cost`, :func:`kernel_occupancy`,
+:func:`reference_gpu_padd_rate`) are pure functions of frozen arguments
+and are memoised once per process, as a compiled kernel fixes its spill
+plan, registers and occupancy once (§4.2.2); only the per-call
+``active_threads`` scaling is recomputed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.gpu.occupancy import OccupancyResult, occupancy_for
 from repro.gpu.specs import (
@@ -66,6 +73,7 @@ class EcOpCost:
         return self.overlap_traffic_bytes + self.serial_traffic_bytes
 
 
+@lru_cache(maxsize=None)
 def ec_op_cost(desc: KernelDescriptor, op: str, spec: GpuSpec) -> EcOpCost:
     """Cost components of one PADD / PACC / PDBL under a kernel config."""
     muls, adds = desc.word_ops_per_modmul()
@@ -96,6 +104,7 @@ def ec_op_cost(desc: KernelDescriptor, op: str, spec: GpuSpec) -> EcOpCost:
     return EcOpCost(cuda_instr, tc_ops, overlap_traffic, serial_traffic, shm_traffic)
 
 
+@lru_cache(maxsize=None)
 def kernel_occupancy(desc: KernelDescriptor, op: str, spec: GpuSpec) -> OccupancyResult:
     """Occupancy of the EC kernel, including explicit-spill shared memory."""
     regs = desc.registers_per_thread(op)
@@ -169,6 +178,7 @@ def ec_op_rate(desc: KernelDescriptor, op: str, spec: GpuSpec) -> float:
     return 1e3 / ec_ops_time_ms(desc, op, 1.0, spec) / 1.0
 
 
+@lru_cache(maxsize=None)
 def reference_gpu_padd_rate(spec: GpuSpec) -> float:
     """Anchor rate (PACC/s, BLS12-381, fully optimised) for CPU scaling."""
     from repro.curves.params import curve_by_name

@@ -120,15 +120,19 @@ class KernelDescriptor:
 
     # -- register pressure ------------------------------------------------
 
+    def _dag_name(self, op: str) -> str:
+        """The scheduled DAG one EC operation runs as under these toggles."""
+        if op == "pdbl":
+            return "PDBL"
+        if op == "pacc" and self.opts.use_pacc:
+            return "PACC"
+        if op in ("padd", "pacc"):
+            return "PADD"
+        raise ValueError(f"unknown op {op!r}")
+
     def live_bigints(self, op: str) -> int:
         """Peak concurrently live big integers for one EC operation."""
-        if op not in ("padd", "pacc", "pdbl"):
-            raise ValueError(f"unknown op {op!r}")
-        if op == "pdbl":
-            dag_name = "PDBL"
-        else:
-            dag_name = "PACC" if (op == "pacc" and self.opts.use_pacc) else "PADD"
-        info = _schedule_info(dag_name)
+        info = _schedule_info(self._dag_name(op))
         live = info["optimal_peak"] if self.opts.optimal_order else info["written_peak"]
         if self.opts.explicit_spill:
             # spilling cannot shrink the entry working set (8 for PADD, 4
@@ -147,12 +151,9 @@ class KernelDescriptor:
 
     def spill_plan(self, op: str) -> SpillPlan | None:
         """The explicit-spill plan, or None when spilling is off."""
+        dag_name = self._dag_name(op)
         if not self.opts.explicit_spill:
             return None
-        if op == "pdbl":
-            dag_name = "PDBL"
-        else:
-            dag_name = "PACC" if (op == "pacc" and self.opts.use_pacc) else "PADD"
         info = _schedule_info(dag_name)
         budget = info["optimal_peak" if self.opts.optimal_order else "written_peak"]
         budget = max(budget - SPILL_REDUCTION, entry_live(info["dag"]))
